@@ -6,10 +6,10 @@ The package provides:
   precision on the range the blob Hamiltonians need,
 * :mod:`vortexblob.model` -- blob systems, the induced-velocity ODEs,
   conserved quantities, and grid initialization,
-* :mod:`vortexblob.conservative` -- the conservative one-step scheme built
-  from divided differences of the pair potential,
-* :mod:`vortexblob.integrators` -- explicit and implicit baseline
-  integrators plus the trajectory driver,
+* :mod:`vortexblob.conservative` -- the discrete vector field of the
+  conservative scheme, built from divided differences of the pair potential,
+* :mod:`vortexblob.integrators` -- the explicit Runge-Kutta methods, the
+  implicit midpoint and conservative steps, and the trajectory driver,
 * :mod:`vortexblob.reference` -- exact reference solutions, error metrics,
   quadrature, and order fitting,
 * :mod:`vortexblob.cli` -- the batch experiment command-line driver.
@@ -17,15 +17,12 @@ The package provides:
 
 from .conservative import (
     CTauParams,
-    SolverConfig,
-    StepOutcome,
     c_tau,
     c_tau_closed,
     c_tau_taylor,
     discrete_multiplier_residuals,
     dmm_residual,
     dmm_rhs,
-    dmm_step,
 )
 from .errors import (
     ConfigurationError,
@@ -38,6 +35,9 @@ from .expint import e1_reference, exp_integral_e1
 from .integrators import (
     METHODS,
     RunRecord,
+    SolverConfig,
+    StepOutcome,
+    dmm_step,
     imm_step,
     integrate,
     rk4_step,
@@ -61,7 +61,6 @@ from .model import (
 from .reference import (
     OrderFit,
     QuadratureRule,
-    drift_series,
     exact_conserved_integrals,
     exact_velocity,
     fit_order,
@@ -99,7 +98,6 @@ __all__ = [
     "dmm_residual",
     "dmm_rhs",
     "dmm_step",
-    "drift_series",
     "e1_reference",
     "exact_conserved_integrals",
     "exact_velocity",
@@ -122,4 +120,4 @@ __all__ = [
     "velocity_field",
 ]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

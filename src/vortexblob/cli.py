@@ -27,7 +27,6 @@ import tempfile
 
 import numpy as np
 
-from .conservative import CTauParams, SolverConfig
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -35,7 +34,7 @@ from .errors import (
     SolverFailureError,
 )
 from .expint import CUTOFF, e1_reference, exp_integral_e1
-from .integrators import METHODS, integrate
+from .integrators import METHODS, SolverConfig, integrate
 from .model import BlobSystem, State, init_grid
 from .reference import (
     fit_order,
@@ -116,7 +115,6 @@ def _config_dict(args, extra=None):
         "tol": getattr(args, "tol", None),
         "max_iters": getattr(args, "max_iters", None),
         "seed": getattr(args, "seed", None),
-        "deterministic": getattr(args, "deterministic", "on"),
     }
     if extra:
         config.update(extra)
@@ -246,7 +244,7 @@ def cmd_timing(args):
                                   sample_stride=max(1, steps // 100) if steps else 1)
             if args.match_time and base_time is None:
                 base_time = record.wall_time
-            elif args.match_time and record.wall_time > 0:
+            elif args.match_time and steps and record.wall_time > 0:
                 # rescale the step count so wall time roughly matches the
                 # first method's, then rerun
                 steps = max(1, int(steps * base_time / record.wall_time))
@@ -311,9 +309,6 @@ def _add_common(parser):
     parser.add_argument("--max-iters", type=int, default=200, help="fixed-point iteration cap")
     parser.add_argument("--seed", type=int, default=None, help="seed for randomized modes")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--deterministic", choices=("on", "off"), default="on",
-                        help="deterministic sequential summation (always on; flag kept "
-                             "for interface stability)")
 
 
 def build_parser():

@@ -1,4 +1,4 @@
-"""Conservative one-step scheme for the vortex-blob equations.
+"""Discrete vector field of the conservative one-step scheme.
 
 The update is the implicit midpoint-like discretization
 
@@ -7,7 +7,10 @@ The update is the implicit midpoint-like discretization
 where f_tau replaces the continuous cutoff factor C(r^2)/r^2 by a divided
 difference of the pair potential between the two time levels, so the
 linear impulses, angular impulse, and Hamiltonian of the system are
-preserved exactly (up to solver tolerance) on each step.
+preserved exactly (up to solver tolerance) on each step.  This module
+builds f_tau (``dmm_rhs``), its residual, and the discrete multiplier
+identities behind the conservation; :func:`vortexblob.integrators.dmm_step`
+solves the update.
 
 The divided-difference factor ``c_tau`` is singular-looking when the two
 pair separations agree; a truncated Taylor expansion in (z - 1), with
@@ -20,127 +23,96 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
-from .errors import PairDegeneracyError, SolverFailureError
+from .errors import PairDegeneracyError
 from .expint import exp_integral_e1
-from .model import BlobSystem, State, _live_mask, _raise_degenerate, cutoff_over_r2, row_blocks
-
-SUPPORTED_ORDERS = (2, 4, 6)
+from .model import ORDER_POLYNOMIALS, _check_order, _live_mask, _raise_degenerate, conserved, row_blocks
 
 
 @dataclass(frozen=True)
 class CTauParams:
-    """Switch parameters for the divided-difference cutoff factor."""
+    """Switch parameter for the divided-difference cutoff factor."""
 
     epsilon_switch: float = 1e-4
-    taylor_terms: int = 3
 
     def __post_init__(self):
         if not 0.0 < self.epsilon_switch < 1.0:
             raise ValueError("epsilon_switch must lie in (0, 1)")
-        if self.taylor_terms not in (1, 2, 3):
-            raise ValueError("taylor_terms must be 1, 2, or 3")
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Fixed-point iteration controls.
-
-    ``tol`` is relative to the position scale max(1, |x|, |y|) of the
-    step's starting state; the pure roundoff floor of the iteration sits
-    a few hundred eps above zero at unit scale, so tolerances much below
-    1e-13 are generally unreachable.
-    """
-
-    tol: float = 1e-12
-    max_iters: int = 200
-    damping: float = 1.0
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-
-    def threshold(self, state):
-        """Absolute convergence threshold for a step starting at state."""
-        scale = max(1.0, float(np.abs(state.x).max()), float(np.abs(state.y).max()))
-        return self.tol * scale
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Converged step plus solver diagnostics."""
-
-    next: State
-    iterations: int
-    residual: float
 
 
 DEFAULT_CTAU = CTauParams()
-DEFAULT_SOLVER = SolverConfig()
 
 
-def _taylor_coefficients(m, xi):
-    """Coefficients of the (z-1) expansion of the divided-difference factor.
+def _taylor_polynomials(q):
+    """Pairs (a_n, B_n), n = 0, 1, 2, with c_n(xi) = a_n + B_n(xi) exp(-xi).
 
-    Returns (c0, c1, c2) arrays; the expansion is
-    c0 + c1*(z-1)/2 + c2*(z-1)^2/6.
+    c_n = xi^(n+1) V^(n+1)(xi) for the pair potential V, so the divided
+    difference is sum_n c_n (z-1)^n / (n+1)!.  c_0 = C = 1 - Q exp(-xi),
+    and c_{n+1} = xi c_n' - (n+1) c_n.
     """
-    e = np.exp(-xi)
-    if m == 2:
-        c0 = 1.0 - e
-        c1 = -1.0 + (1.0 + xi) * e
-        c2 = 2.0 + (-2.0 - 2.0 * xi - xi**2) * e
-    elif m == 4:
-        c0 = 1.0 + (-1.0 + xi) * e
-        c1 = -1.0 + (1.0 + xi - xi**2) * e
-        c2 = 2.0 + (-2.0 - 2.0 * xi - xi**2 + xi**3) * e
-    elif m == 6:
-        c0 = 1.0 + (-1.0 + 2.0 * xi - 0.5 * xi**2) * e
-        c1 = -1.0 + (1.0 + xi - 2.5 * xi**2 + 0.5 * xi**3) * e
-        c2 = 2.0 + (-2.0 - 2.0 * xi - xi**2 + 3.0 * xi**3 - 0.5 * xi**4) * e
-    else:
-        raise ValueError(f"unsupported order m={m}")
-    return c0, c1, c2
+    a, b = 1.0, -q
+    out = []
+    for n in range(3):
+        out.append((a, tuple(float(c) for c in b)))
+        a, b = -(n + 1) * a, npoly.polysub(npoly.polymulx(npoly.polysub(npoly.polyder(b), b)), (n + 1) * b)
+    return out
 
 
-def c_tau_taylor(m, xi_k, z, params=DEFAULT_CTAU):
-    """Truncated Taylor expansion of the divided-difference factor in (z-1)."""
+_TAYLOR_POLYNOMIALS = {m: _taylor_polynomials(poly.q) for m, poly in ORDER_POLYNOMIALS.items()}
+
+
+def _horner(x, coef):
+    """coef[0] + coef[1] x + ...; unlike numpy's polyval, no x * 0 term or array conversion."""
+    out = coef[-1]
+    for c in coef[-2::-1]:
+        out = out * x + c
+    return out
+
+
+def _divided_difference(coef, a, b):
+    """(p(b) - p(a)) / (b - a) for a polynomial p of degree >= 1, division free."""
+    pb = d = coef[-1]
+    for c in coef[-2:0:-1]:
+        pb = c + b * pb
+        d = pb + a * d
+    return d
+
+
+def c_tau_taylor(m, xi_k, z):
+    """Taylor expansion of the divided-difference factor in s = z - 1.
+
+    Truncated after the s^2 term: c_0 + c_1 s/2 + c_2 s^2/6.
+    """
+    _check_order(m)
     xi_k = np.asarray(xi_k, dtype=float)
     s = np.asarray(z, dtype=float) - 1.0
-    c0, c1, c2 = _taylor_coefficients(m, xi_k)
-    out = c0
-    if params.taylor_terms >= 2:
-        out = out + c1 * s / 2.0
-    if params.taylor_terms >= 3:
-        out = out + c2 * s**2 / 6.0
-    return out
+    e = np.exp(-xi_k)
+    c0, c1, c2 = (a + _horner(xi_k, b) * e for a, b in _TAYLOR_POLYNOMIALS[m])
+    del e  # one array fewer alive in the sum below, which sets the peak on large blocks
+    return c0 + c1 * s / 2.0 + c2 * s**2 / 6.0
 
 
 def c_tau_closed(m, xi_k, xi_k1):
     """Closed-form divided-difference factor (log, E1, exponential terms).
 
-    Not protected against the z -> 1 cancellation; see c_tau for the
-    branch-switched version.
+    With z = xi_k1/xi_k and R the order's potential remainder,
+    [log z + E1(xi_k1) - E1(xi_k) + R(xi_k) (e^-xi_k1 - e^-xi_k)]/(z - 1)
+    + xi_k R[xi_k, xi_k1] e^-xi_k1.  Not protected against the z -> 1
+    cancellation; see c_tau for the branch-switched version.
     """
+    _check_order(m)
     xi_k = np.asarray(xi_k, dtype=float)
     xi_k1 = np.asarray(xi_k1, dtype=float)
     z = xi_k1 / xi_k
-    base = np.log(np.abs(z)) + exp_integral_e1(xi_k1) - exp_integral_e1(xi_k)
-    dxi = xi_k1 - xi_k
-    if m == 2:
-        num = base
-        extra = 0.0
-    elif m == 4:
-        num = base - np.exp(-xi_k) * (np.exp(-dxi) - 1.0)
-        extra = 0.0
-    elif m == 6:
-        num = base + np.exp(-xi_k) * (np.exp(-dxi) - 1.0) * (-1.5 + 0.5 * xi_k)
-        extra = 0.5 * xi_k * np.exp(-xi_k1)
-    else:
-        raise ValueError(f"unsupported order m={m}")
-    return num / (z - 1.0) + extra
+    num = np.log(np.abs(z)) + exp_integral_e1(xi_k1) - exp_integral_e1(xi_k)
+    r = ORDER_POLYNOMIALS[m].r
+    if r.size:
+        num = num + np.exp(-xi_k) * (np.exp(-(xi_k1 - xi_k)) - 1.0) * _horner(xi_k, r)
+    out = num / (z - 1.0)
+    if r.size > 1:
+        out = out + xi_k * _divided_difference(r, xi_k, xi_k1) * np.exp(-xi_k1)
+    return out
 
 
 def c_tau(m, xi_k, xi_k1, params=DEFAULT_CTAU):
@@ -161,7 +133,7 @@ def c_tau(m, xi_k, xi_k1, params=DEFAULT_CTAU):
     out = np.empty_like(z)
     near = np.abs(z - 1.0) <= params.epsilon_switch
     if np.any(near):
-        out[near] = c_tau_taylor(m, xi_k[near], z[near], params)
+        out[near] = c_tau_taylor(m, xi_k[near], z[near])
     far = ~near
     if np.any(far):
         out[far] = c_tau_closed(m, xi_k[far], xi_k1[far])
@@ -231,38 +203,6 @@ def dmm_residual(system, prev, cand, tau, params=DEFAULT_CTAU):
     return rx, ry
 
 
-def _rk4_predict(system, state, tau):
-    from .integrators import rk4_step
-
-    return rk4_step(system, state, tau)
-
-
-def dmm_step(system, state, tau, params=DEFAULT_CTAU, solver=DEFAULT_SOLVER):
-    """One conservative step by Picard iteration from an RK4 predictor.
-
-    Raises SolverFailureError if the max-norm position update does not
-    drop below solver.tol within solver.max_iters iterations.
-    """
-    guess = _rk4_predict(system, state, tau)
-    x, y = guess.x, guess.y
-    damping = solver.damping
-    threshold = solver.threshold(state)
-    residual = np.inf
-    for iteration in range(1, solver.max_iters + 1):
-        cand = State(x=x, y=y, t=state.t + tau)
-        fx, fy = dmm_rhs(system, state, cand, params)
-        xn = state.x + tau * fx
-        yn = state.y + tau * fy
-        residual = max(np.abs(xn - x).max(), np.abs(yn - y).max(), 0.0)
-        if damping != 1.0:
-            xn = x + damping * (xn - x)
-            yn = y + damping * (yn - y)
-        x, y = xn, yn
-        if residual <= threshold:
-            return StepOutcome(next=State(x=x, y=y, t=state.t + tau), iterations=iteration, residual=residual)
-    raise SolverFailureError(solver.max_iters, residual, last_state=State(x=x, y=y, t=state.t + tau))
-
-
 def discrete_multiplier_matrix(system, prev, cand, params=DEFAULT_CTAU):
     """Discrete multiplier: 4 x 2M matrix on a pair of states.
 
@@ -291,8 +231,6 @@ def discrete_multiplier_residuals(system, prev, cand, tau, params=DEFAULT_CTAU):
     conserved quantities; res2: Lambda_tau f_tau.  Both vanish identically
     for arbitrary state pairs, not just scheme solutions.
     """
-    from .model import conserved
-
     lam = discrete_multiplier_matrix(system, prev, cand, params)
     dx = np.concatenate([cand.x - prev.x, cand.y - prev.y]) / tau
     psi_prev = conserved(system, prev).as_array()

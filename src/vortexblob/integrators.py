@@ -1,84 +1,142 @@
-"""Baseline one-step integrators and the trajectory driver.
+"""One-step integrators and the trajectory driver.
 
 Explicit methods: classical RK4 (also the predictor for the implicit
-schemes), Ralston's minimal-truncation-error 2nd and 4th order methods.
-Implicit methods: the implicit midpoint method and the conservative
-scheme from :mod:`vortexblob.conservative`, both solved by fixed-point
-iteration from an RK4 predictor.
+schemes) and Ralston's minimal-truncation-error 2nd and 4th order
+methods, all run by one stepper from their Butcher tableaux.  Implicit
+methods: the implicit midpoint method and the conservative scheme, whose
+discrete vector field is :func:`vortexblob.conservative.dmm_rhs`; both
+are solved by one fixed-point driver from an RK4 predictor.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conservative import DEFAULT_CTAU, DEFAULT_SOLVER, StepOutcome, dmm_step
-from .errors import ConfigurationError, SolverFailureError
+from . import conservative
+from .errors import ConfigurationError, SolverFailureError, VortexBlobError
 from .model import State, conserved, rhs
 
-METHODS = ("rk4", "rm2", "rm4", "imm", "dmm")
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Fixed-point iteration controls.
+
+    ``tol`` is relative to the position scale max(1, |x|, |y|) of the
+    step's starting state; the pure roundoff floor of the iteration sits
+    a few hundred eps above zero at unit scale, so tolerances much below
+    1e-13 are generally unreachable.
+    """
+
+    tol: float = 1e-12
+    max_iters: int = 200
+
+    def __post_init__(self):
+        if not self.tol > 0:
+            raise ValueError("tol must be positive")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+
+    def threshold(self, state):
+        """Absolute convergence threshold for a step starting at state."""
+        scale = max(1.0, float(np.abs(state.x).max()), float(np.abs(state.y).max()))
+        return self.tol * scale
+
+
+@dataclass(frozen=True)
+class StepOutcome:
+    """Converged step plus solver diagnostics."""
+
+    next: State
+    iterations: int
+    residual: float
+
+
+DEFAULT_SOLVER = SolverConfig()
+
+
+def _row(scale, coefficients):
+    """Tableau row scale * coefficients as (scale, ((j, c), ...)), zeros dropped."""
+    return scale, tuple((j, c) for j, c in enumerate(coefficients) if c != 0.0)
+
+
+# Explicit Runge-Kutta tableaux as (stage rows a_2.., weights b).  A common
+# factor such as RK4's 1/6 goes in the scale, so it costs one multiplication.
+_RK4 = (
+    (_row(0.5, (1.0,)), _row(0.5, (0.0, 1.0)), _row(1.0, (0.0, 0.0, 1.0))),
+    _row(1.0 / 6.0, (1.0, 2.0, 2.0, 1.0)),
+)
+
+_RM2 = ((_row(2.0 / 3.0, (1.0,)),), _row(1.0, (0.25, 0.75)))
 
 # Ralston's 4th-order minimum-error tableau: nodes c2 = 2/5,
 # c3 = (14 - 3*sqrt(5))/16, c4 = 1; remaining coefficients solve the
 # eight order-4 conditions exactly (frozen to double precision here).
-_RM4_A21 = 0.4
-_RM4_A31 = 0.29697760924775360007
-_RM4_A32 = 0.15875964497103583185
-_RM4_A41 = 0.21810038822592046760
-_RM4_A42 = -3.0509651486929308054
-_RM4_A43 = 3.8328647604670103378
-_RM4_B = (
-    0.17476028226269037125,
-    -0.55148066287873294055,
-    1.2055355993965235350,
-    0.17118478121951903426,
+_RM4 = (
+    (
+        _row(0.4, (1.0,)),
+        _row(1.0, (0.29697760924775360007, 0.15875964497103583185)),
+        _row(1.0, (0.21810038822592046760, -3.0509651486929308054, 3.8328647604670103378)),
+    ),
+    _row(1.0, (0.17476028226269037125, -0.55148066287873294055, 1.2055355993965235350, 0.17118478121951903426)),
 )
+
+
+def _combine(u, h, terms, ks):
+    """u + h * sum(c * ks[j] for j, c in terms), with h = scale * tau."""
+    if len(terms) == 1:
+        (j, c), = terms
+        return u + (h * c) * ks[j]
+    return u + h * functools.reduce(np.add, (ks[j] if c == 1.0 else c * ks[j] for j, c in terms))
+
+
+def _explicit_rk_step(tableau, system, state, tau):
+    """One step of an explicit Runge-Kutta method; positions stacked as (2, M)."""
+    stages, (scale, terms) = tableau
+    u = np.array((state.x, state.y))
+    ks = [np.array(rhs(system, state))]
+    for stage_scale, stage_terms in stages:
+        v = _combine(u, stage_scale * tau, stage_terms, ks)
+        ks.append(np.array(rhs(system, State(x=v[0], y=v[1]))))
+    v = _combine(u, scale * tau, terms, ks)
+    return State(x=v[0], y=v[1], t=state.t + tau)
 
 
 def rk4_step(system, state, tau):
     """Classical 4-stage Runge-Kutta step."""
-    x, y = state.x, state.y
-    k1x, k1y = rhs(system, state)
-    k2x, k2y = rhs(system, State(x=x + 0.5 * tau * k1x, y=y + 0.5 * tau * k1y))
-    k3x, k3y = rhs(system, State(x=x + 0.5 * tau * k2x, y=y + 0.5 * tau * k2y))
-    k4x, k4y = rhs(system, State(x=x + tau * k3x, y=y + tau * k3y))
-    nx = x + tau / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    ny = y + tau / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-    return State(x=nx, y=ny, t=state.t + tau)
+    return _explicit_rk_step(_RK4, system, state, tau)
 
 
 def rm2_step(system, state, tau):
     """Ralston's 2nd-order step (stages at 0 and 2/3, weights 1/4 and 3/4)."""
-    x, y = state.x, state.y
-    k1x, k1y = rhs(system, state)
-    k2x, k2y = rhs(system, State(x=x + (2.0 / 3.0) * tau * k1x, y=y + (2.0 / 3.0) * tau * k1y))
-    nx = x + tau * (0.25 * k1x + 0.75 * k2x)
-    ny = y + tau * (0.25 * k1y + 0.75 * k2y)
-    return State(x=nx, y=ny, t=state.t + tau)
+    return _explicit_rk_step(_RM2, system, state, tau)
 
 
 def rm4_step(system, state, tau):
     """Ralston's 4th-order minimum-error step."""
-    x, y = state.x, state.y
-    k1x, k1y = rhs(system, state)
-    k2x, k2y = rhs(system, State(x=x + tau * _RM4_A21 * k1x, y=y + tau * _RM4_A21 * k1y))
-    k3x, k3y = rhs(
-        system,
-        State(x=x + tau * (_RM4_A31 * k1x + _RM4_A32 * k2x), y=y + tau * (_RM4_A31 * k1y + _RM4_A32 * k2y)),
-    )
-    k4x, k4y = rhs(
-        system,
-        State(
-            x=x + tau * (_RM4_A41 * k1x + _RM4_A42 * k2x + _RM4_A43 * k3x),
-            y=y + tau * (_RM4_A41 * k1y + _RM4_A42 * k2y + _RM4_A43 * k3y),
-        ),
-    )
-    b1, b2, b3, b4 = _RM4_B
-    nx = x + tau * (b1 * k1x + b2 * k2x + b3 * k3x + b4 * k4x)
-    ny = y + tau * (b1 * k1y + b2 * k2y + b3 * k3y + b4 * k4y)
-    return State(x=nx, y=ny, t=state.t + tau)
+    return _explicit_rk_step(_RM4, system, state, tau)
+
+
+def _fixed_point(system, state, tau, solver, field_at):
+    """Solve x = state + tau * field_at(x, y) by Picard iteration from the RK4 predictor.
+
+    Converged when the max-norm update is <= solver.threshold(state).
+    """
+    guess = rk4_step(system, state, tau)
+    u0 = np.array((state.x, state.y))
+    u = np.array((guess.x, guess.y))
+    threshold = solver.threshold(state)
+    residual = np.inf
+    for iteration in range(1, solver.max_iters + 1):
+        un = u0 + tau * np.array(field_at(u[0], u[1]))
+        residual = float(np.abs(un - u).max())
+        u = un
+        if residual <= threshold:
+            return StepOutcome(next=State(x=u[0], y=u[1], t=state.t + tau), iterations=iteration, residual=residual)
+    raise SolverFailureError(solver.max_iters, residual, last_state=State(x=u[0], y=u[1], t=state.t + tau))
 
 
 def imm_step(system, state, tau, solver=DEFAULT_SOLVER):
@@ -87,20 +145,31 @@ def imm_step(system, state, tau, solver=DEFAULT_SOLVER):
     Preserves the quadratic invariants (linear and angular impulse) to
     solver tolerance; the Hamiltonian is only approximately conserved.
     """
-    guess = rk4_step(system, state, tau)
-    x, y = guess.x, guess.y
-    threshold = solver.threshold(state)
-    residual = np.inf
-    for iteration in range(1, solver.max_iters + 1):
-        mid = State(x=0.5 * (state.x + x), y=0.5 * (state.y + y))
-        fx, fy = rhs(system, mid)
-        xn = state.x + tau * fx
-        yn = state.y + tau * fy
-        residual = max(np.abs(xn - x).max(), np.abs(yn - y).max(), 0.0)
-        x, y = xn, yn
-        if residual <= threshold:
-            return StepOutcome(next=State(x=x, y=y, t=state.t + tau), iterations=iteration, residual=residual)
-    raise SolverFailureError(solver.max_iters, residual, last_state=State(x=x, y=y, t=state.t + tau))
+    return _fixed_point(
+        system, state, tau, solver, lambda x, y: rhs(system, State(x=0.5 * (state.x + x), y=0.5 * (state.y + y)))
+    )
+
+
+def dmm_step(system, state, tau, params=conservative.DEFAULT_CTAU, solver=DEFAULT_SOLVER):
+    """One conservative step by Picard iteration from an RK4 predictor.
+
+    Raises SolverFailureError if the max-norm position update does not
+    drop below solver.tol within solver.max_iters iterations.
+    """
+    return _fixed_point(
+        system, state, tau, solver, lambda x, y: conservative.dmm_rhs(system, state, State(x=x, y=y), params)
+    )
+
+
+# Method name -> (step function name in this module, keyword arguments it takes).
+_STEP_FUNCTIONS = {
+    "rk4": ("rk4_step", ()),
+    "rm2": ("rm2_step", ()),
+    "rm4": ("rm4_step", ()),
+    "imm": ("imm_step", ("solver",)),
+    "dmm": ("dmm_step", ("params", "solver")),
+}
+METHODS = tuple(_STEP_FUNCTIONS)
 
 
 @dataclass
@@ -132,7 +201,7 @@ def integrate(
     n_steps,
     method,
     solver=DEFAULT_SOLVER,
-    ctau_params=DEFAULT_CTAU,
+    ctau_params=conservative.DEFAULT_CTAU,
     sample_stride=1,
     keep_states=False,
     observer=None,
@@ -142,7 +211,7 @@ def integrate(
     The observer, if given, is called as observer(step_index, state) at
     each sample.  Step errors propagate with the failing step index noted.
     """
-    if method not in METHODS:
+    if method not in _STEP_FUNCTIONS:
         raise ConfigurationError(f"unknown method {method!r}; expected one of {METHODS}")
     if n_steps < 0:
         raise ConfigurationError("n_steps must be >= 0")
@@ -174,23 +243,16 @@ def integrate(
 
     sample(0, state, None)
     start = time.perf_counter()
+    step_name, options = _STEP_FUNCTIONS[method]
+    step = globals()[step_name]  # by name at call time, so a replaced module attribute is used
+    kwargs = {name: {"solver": solver, "params": ctau_params}[name] for name in options}
     for k in range(1, n_steps + 1):
         try:
-            if method == "rk4":
-                state, iters = rk4_step(system, state, tau), None
-            elif method == "rm2":
-                state, iters = rm2_step(system, state, tau), None
-            elif method == "rm4":
-                state, iters = rm4_step(system, state, tau), None
-            elif method == "imm":
-                out = imm_step(system, state, tau, solver)
-                state, iters = out.next, out.iterations
-            else:
-                out = dmm_step(system, state, tau, ctau_params, solver)
-                state, iters = out.next, out.iterations
-        except (SolverFailureError,) as exc:
+            out = step(system, state, tau, **kwargs)
+        except VortexBlobError as exc:
             exc.step_index = k
             raise
+        state, iters = (out.next, out.iterations) if isinstance(out, StepOutcome) else (out, None)
         if k % sample_stride == 0 or k == n_steps:
             sample(k, state, iters)
     record.wall_time = time.perf_counter() - start

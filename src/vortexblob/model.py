@@ -15,26 +15,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, PairDegeneracyError
 from .expint import exp_integral_e1
 
-SUPPORTED_ORDERS = (2, 4, 6)
 
-# Coefficients of the Laguerre-type polynomials Q (unit constant term) and
-# the matched vorticity-shape polynomials P, indexed by order m.
-_Q_COEF = {
-    2: np.array([1.0]),
-    4: np.array([1.0, -1.0]),
-    6: np.array([1.0, -2.0, 0.5]),
+class OrderPolynomials(NamedTuple):
+    """Coefficients, in increasing degree, of one blob order's polynomials."""
+
+    q: np.ndarray  # cutoff C(xi) = 1 - Q(xi) exp(-xi); unit constant term
+    p: np.ndarray  # matched vorticity shape zeta = P(xi) exp(-xi) / delta^2
+    r: np.ndarray  # pair potential V = log r2 + E1(xi) + R(xi) exp(-xi)
+
+
+# The one table of per-order data; everything order-dependent is derived
+# from it.  Q = 1 - xi (R' - R) ties the potential to the cutoff.  R_2 = 0
+# has no coefficients.
+ORDER_POLYNOMIALS = {
+    2: OrderPolynomials(q=np.array([1.0]), p=np.array([1.0]) / np.pi, r=np.array([])),
+    4: OrderPolynomials(q=np.array([1.0, -1.0]), p=np.array([2.0, -1.0]) / np.pi, r=np.array([-1.0])),
+    6: OrderPolynomials(q=np.array([1.0, -2.0, 0.5]), p=np.array([3.0, -3.0, 0.5]) / np.pi, r=np.array([-1.5, 0.5])),
 }
-_P_COEF = {
-    2: np.array([1.0]) / np.pi,
-    4: np.array([2.0, -1.0]) / np.pi,
-    6: np.array([6.0, -6.0, 1.0]) / (2.0 * np.pi),
-}
+SUPPORTED_ORDERS = tuple(ORDER_POLYNOMIALS)
 
 # Below this value of xi = r^2/delta^2 the ratio C(r^2)/r^2 is evaluated by
 # its Maclaurin series: the direct form divides two vanishing quantities.
@@ -50,13 +55,13 @@ def _check_order(m):
 def q_polynomial(m, r):
     """Q polynomial of order m evaluated at r >= 0."""
     _check_order(m)
-    return np.polynomial.polynomial.polyval(np.asarray(r, dtype=float), _Q_COEF[m])
+    return np.polynomial.polynomial.polyval(np.asarray(r, dtype=float), ORDER_POLYNOMIALS[m].q)
 
 
 def p_polynomial(m, r):
     """Vorticity-shape polynomial P of order m evaluated at r >= 0."""
     _check_order(m)
-    return np.polynomial.polynomial.polyval(np.asarray(r, dtype=float), _P_COEF[m])
+    return np.polynomial.polynomial.polyval(np.asarray(r, dtype=float), ORDER_POLYNOMIALS[m].p)
 
 
 def cutoff(m, r2, delta):
@@ -75,7 +80,7 @@ def _cutoff_ratio_series_coef(m, terms=_SERIES_TERMS):
     With Q(xi) e^(-xi) = sum a_n xi^n, a_0 = 1 and C(xi) = -sum_{n>=1}
     a_n xi^n, so C(xi)/xi = -sum_{n>=1} a_n xi^(n-1).
     """
-    q = _Q_COEF[m]
+    q = ORDER_POLYNOMIALS[m].q
     n = terms + 1
     expc = np.array([(-1.0) ** k / float(math.factorial(k)) for k in range(n)])
     prod = np.convolve(q, expc)[:n]
@@ -271,15 +276,14 @@ def blob_vorticity(system, state, z):
 
 
 def pair_potential(m, r2, delta):
-    """Interaction potential V(r2): log |r2| + E1(xi) + order-dependent terms."""
+    """Interaction potential V(r2) = log |r2| + E1(xi) + R(xi) exp(-xi)."""
     _check_order(m)
     r2 = np.asarray(r2, dtype=float)
     xi = r2 / delta**2
     v = np.log(np.abs(r2)) + exp_integral_e1(xi)
-    if m == 4:
-        v = v - np.exp(-xi)
-    elif m == 6:
-        v = v + (-1.5 + 0.5 * xi) * np.exp(-xi)
+    r = ORDER_POLYNOMIALS[m].r
+    if r.size:
+        v = v + np.polynomial.polynomial.polyval(xi, r) * np.exp(-xi)
     return v
 
 

@@ -163,11 +163,6 @@ def exact_conserved_integrals(p=3):
     return gamma, 0.0, 0.0, ell, ham
 
 
-def drift_series(record):
-    """Absolute drifts of (Px, Py, L, H) against their initial values."""
-    return record.drift()
-
-
 @dataclass(frozen=True)
 class OrderFit:
     """Least-squares slope of log(error) against log(scale)."""

@@ -172,6 +172,15 @@ class TestTiming:
         _, rows = read_csv(os.path.join(out, "timing.csv"))
         assert float(rows[0][4]) == 0.0  # no drift without steps
 
+    def test_match_time_keeps_zero_steps(self, tmp_path):
+        out = str(tmp_path / "mzero")
+        code = main(["timing", "--match-time", "--steps", "0", "--n-seeds", "1",
+                     "--seed", "3", "--out", out])
+        assert code == EXIT_OK
+        _, rows = read_csv(os.path.join(out, "timing.csv"))
+        assert [row[1] for row in rows] == ["rm2", "rm4", "dmm"]
+        assert all(row[2] == "0" for row in rows)
+
 
 class TestExitCodes:
     def test_usage_errors(self, tmp_path):

@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 
 from vortexblob.conservative import (
     CTauParams,
-    SolverConfig,
     c_tau,
     c_tau_closed,
     c_tau_taylor,
     discrete_multiplier_residuals,
     dmm_residual,
     dmm_rhs,
-    dmm_step,
 )
 from vortexblob.errors import PairDegeneracyError, SolverFailureError
+from vortexblob.integrators import SolverConfig, dmm_step, integrate
 from vortexblob.model import BlobSystem, State, conserved, cutoff, rhs
 
 
@@ -96,8 +95,6 @@ class TestCTau:
         with pytest.raises(ValueError):
             CTauParams(epsilon_switch=0.0)
         with pytest.raises(ValueError):
-            CTauParams(taylor_terms=4)
-        with pytest.raises(ValueError):
             SolverConfig(tol=-1.0)
 
 
@@ -175,3 +172,38 @@ class TestStep:
         assert exc.value.iterations == 3
         assert exc.value.residual > 0.0
         assert exc.value.last_state is not None
+
+
+def separated_system(seed, m, n, min_sep=0.2):
+    """Random system whose vortices are at least min_sep apart."""
+    rng = np.random.default_rng(seed)
+    while True:
+        x = rng.uniform(-1.0, 1.0, n)
+        y = rng.uniform(-1.0, 1.0, n)
+        gaps = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :]) + np.eye(n)
+        if gaps.min() >= min_sep:
+            break
+    system = BlobSystem(m=m, h=1.0, delta=1.0, kappa=rng.uniform(-1.0, 1.0, n))
+    return system, State(x=x, y=y)
+
+
+class TestLongHorizon:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.sampled_from([2, 4, 6]),
+        st.integers(min_value=2, max_value=6),
+        st.floats(min_value=0.05, max_value=0.5),
+        st.integers(min_value=1, max_value=20),
+    )
+    def test_drift_linear_in_steps_and_step_reversible(self, seed, m, n, tau, n_steps):
+        # drift may grow by at most the solver tolerance per step, and a
+        # step undone by the negated step returns to the start
+        system, state = separated_system(seed, m, n)
+        solver = SolverConfig(tol=1e-12, max_iters=300)
+        record, _ = integrate(system, state, tau, n_steps, "dmm", solver=solver)
+        assert record.max_drift().max() <= n_steps * solver.tol
+        fwd = dmm_step(system, state, tau, solver=solver).next
+        back = dmm_step(system, fwd, -tau, solver=solver).next
+        assert np.abs(back.x - state.x).max() <= 10 * solver.tol
+        assert np.abs(back.y - state.y).max() <= 10 * solver.tol

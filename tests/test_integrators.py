@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from vortexblob.conservative import SolverConfig
-from vortexblob.errors import ConfigurationError, SolverFailureError
+import vortexblob.integrators
+from vortexblob.errors import ConfigurationError, PairDegeneracyError, SolverFailureError
 from vortexblob.integrators import (
     METHODS,
+    SolverConfig,
     imm_step,
     integrate,
     rk4_step,
@@ -107,6 +108,23 @@ class TestDriver:
             integrate(system, state, 0.5, 5, "dmm",
                       solver=SolverConfig(tol=1e-30, max_iters=2))
         assert exc.value.step_index == 1
+
+    def test_any_step_error_tagged_with_step(self, monkeypatch):
+        # rk4 evaluates the rhs four times per step; fail inside step 3
+        system, state = four_vortex_ring(2)
+        calls = []
+        real_rhs = vortexblob.integrators.rhs
+
+        def failing_rhs(system, state):
+            calls.append(1)
+            if len(calls) > 8:
+                raise PairDegeneracyError(0, 1)
+            return real_rhs(system, state)
+
+        monkeypatch.setattr(vortexblob.integrators, "rhs", failing_rhs)
+        with pytest.raises(PairDegeneracyError) as exc:
+            integrate(system, state, 0.1, 5, "rk4")
+        assert exc.value.step_index == 3
 
     def test_observer_called_at_samples(self):
         system, state = four_vortex_ring(2)
