@@ -9,11 +9,13 @@ Subcommands::
     timing          per-method wall time and drift on random systems
     e1-table        E1 accuracy audit against the independent oracle
 
-All tables are comma-separated text with a header row; floats are written
-in scientific notation with 17 significant digits so they round-trip
-losslessly.  Each run also writes a JSON manifest embedding the full
-configuration.  Exit codes: 0 success, 2 usage error, 3 solver failure,
-4 degeneracy / domain error.
+Each subcommand takes only the flags it reads (``vortexblob <cmd>
+--help``); any other flag is a usage error.  All tables are
+comma-separated text with a header row; floats are written in scientific
+notation with 17 significant digits so they round-trip losslessly.  Each
+run also writes a JSON manifest holding the subcommand's parsed flags
+plus the run's own results.  Exit codes: 0 success, 2 usage error,
+3 solver failure, 4 degeneracy / domain error.
 """
 
 from __future__ import annotations
@@ -80,88 +82,59 @@ def _write_table(path, header, rows):
     _write_atomic(path, writer)
 
 
-def _write_manifest(path, config):
-    _write_atomic(path, lambda handle: json.dump(config, handle, indent=2, sort_keys=True))
+def _write_manifest(args, **results):
+    """manifest.json in args.out: the parsed flags plus the run's own results."""
+    config = {key: value for key, value in vars(args).items() if key != "func"}
+    config.update(results)
+    _write_atomic(os.path.join(args.out, "manifest.json"),
+                  lambda handle: json.dump(config, handle, indent=2, sort_keys=True))
 
 
 def _solver_from_args(args):
     return SolverConfig(tol=args.tol, max_iters=args.max_iters)
 
 
-def _random_system(rng, m, n_vortices=3):
+def _random_system(rng, m, n_vortices):
     """Strengths and positions drawn uniformly on [-1, 1]; h = delta = 1."""
+    if n_vortices < 1:
+        raise ConfigurationError("need at least 1 random vortex")
     kappa = rng.uniform(-1.0, 1.0, n_vortices)
     state = State(x=rng.uniform(-1.0, 1.0, n_vortices), y=rng.uniform(-1.0, 1.0, n_vortices))
     return BlobSystem(m=m, h=1.0, delta=1.0, kappa=kappa), state
 
 
-def _problem_from_args(args, rng):
+def _problem_from_args(args):
     if args.random_vortices is not None:
-        return _random_system(rng, args.m, args.random_vortices)
-    system, state = init_grid(args.cells, p=args.p, q=args.q, m=args.m, prune_zero=True)
-    return system, state
-
-
-def _config_dict(args, extra=None):
-    config = {
-        "command": args.command,
-        "cells": getattr(args, "cells", None),
-        "m": getattr(args, "m", None),
-        "q": getattr(args, "q", None),
-        "p": getattr(args, "p", None),
-        "tau": getattr(args, "tau", None),
-        "steps": getattr(args, "steps", None),
-        "method": getattr(args, "method", None),
-        "tol": getattr(args, "tol", None),
-        "max_iters": getattr(args, "max_iters", None),
-        "seed": getattr(args, "seed", None),
-    }
-    if extra:
-        config.update(extra)
-    return config
-
-
-def _drift_rows(record):
-    drifts = record.drift()
-    rows = []
-    for idx, t in enumerate(record.times):
-        rows.append([t, drifts[0, idx], drifts[1, idx], drifts[2, idx], drifts[3, idx]])
-    return rows
+        return _random_system(np.random.default_rng(args.seed), args.m, args.random_vortices)
+    return init_grid(args.cells, p=args.p, q=args.q, m=args.m, prune_zero=True)
 
 
 DRIFT_HEADER = ["time", "drift_px", "drift_py", "drift_ell", "drift_ham"]
 
 
+def _drift_run(args, system, state, method, filename):
+    """One trajectory of method, its drift table written to filename in args.out."""
+    record, _ = integrate(system, state, args.tau, args.steps, method, solver=_solver_from_args(args),
+                          sample_stride=max(1, args.steps // 200))
+    rows = [[t, *drift] for t, drift in zip(record.times, record.drift().T)]
+    _write_table(os.path.join(args.out, filename), DRIFT_HEADER, rows)
+    return record
+
+
 def cmd_simulate(args):
-    rng = np.random.default_rng(args.seed)
-    system, state = _problem_from_args(args, rng)
-    solver = _solver_from_args(args)
-    record, _ = integrate(
-        system, state, args.tau, args.steps, args.method, solver=solver,
-        sample_stride=max(1, args.steps // 200) if args.steps else 1,
-    )
-    out = args.out
-    _write_table(os.path.join(out, "drift.csv"), DRIFT_HEADER, _drift_rows(record))
-    _write_manifest(
-        os.path.join(out, "manifest.json"),
-        _config_dict(args, {"M": system.size, "wall_time": record.wall_time}),
-    )
+    system, state = _problem_from_args(args)
+    record = _drift_run(args, system, state, args.method, "drift.csv")
+    _write_manifest(args, M=system.size, wall_time=record.wall_time)
     print(f"simulate: method={args.method} M={system.size} steps={args.steps} "
           f"max_drift={[_fmt(v) for v in record.max_drift()]}")
     return EXIT_OK
 
 
 def cmd_conservation(args):
-    rng = np.random.default_rng(args.seed)
-    system, state = _problem_from_args(args, rng)
-    solver = _solver_from_args(args)
+    system, state = _problem_from_args(args)
     summary = []
     for method in ("rm2", "rm4", "imm", "dmm"):
-        record, _ = integrate(
-            system, state, args.tau, args.steps, method, solver=solver,
-            sample_stride=max(1, args.steps // 200) if args.steps else 1,
-        )
-        _write_table(os.path.join(args.out, f"drift-{method}.csv"), DRIFT_HEADER, _drift_rows(record))
+        record = _drift_run(args, system, state, method, f"drift-{method}.csv")
         summary.append([method, *record.max_drift(), record.wall_time])
         print(f"conservation: {method} max_drift={[_fmt(v) for v in record.max_drift()]}")
     _write_table(
@@ -169,79 +142,73 @@ def cmd_conservation(args):
         ["method", "max_drift_px", "max_drift_py", "max_drift_ell", "max_drift_ham", "wall_time"],
         summary,
     )
-    _write_manifest(os.path.join(args.out, "manifest.json"), _config_dict(args, {"M": system.size}))
+    _write_manifest(args, M=system.size)
+    return EXIT_OK
+
+
+def _write_order_tables(args, x_name, points_of):
+    """errors.csv of points_of(m) = [(x, error), ...] for each order m, slopes.csv
+    of the orders with at least three points, and the manifest."""
+    rows = []
+    slopes = []
+    for m in args.orders:
+        points = points_of(m)
+        rows.extend([str(m), x, err] for x, err in points)
+        if len(points) >= 3:
+            fit = fit_order(points)
+            slopes.append([str(m), fit.slope, fit.r_squared])
+            print(f"{args.command}: m={m} slope={fit.slope:.4f}")
+    _write_table(os.path.join(args.out, "errors.csv"), ["m", x_name, "error"], rows)
+    if slopes:
+        _write_table(os.path.join(args.out, "slopes.csv"), ["m", "slope", "r_squared"], slopes)
+    _write_manifest(args)
     return EXIT_OK
 
 
 def cmd_temporal_order(args):
     solver = _solver_from_args(args)
-    taus = args.taus
-    rows = []
-    slopes = []
-    for m in args.orders:
+
+    def points_of(m):
         system, state = four_vortex_ring(m)
         points = []
-        for tau in taus:
+        for tau in args.taus:
             n_steps = int(round(args.t_final / tau))
             _, final = integrate(system, state, tau, n_steps, args.method, solver=solver)
-            err = temporal_error(final, four_vortex_exact(n_steps * tau, m))
-            points.append((tau, err))
-            rows.append([str(m), tau, err])
-        if len(points) >= 3:
-            fit = fit_order(points)
-            slopes.append([str(m), fit.slope, fit.r_squared])
-            print(f"temporal-order: m={m} slope={fit.slope:.4f}")
-    _write_table(os.path.join(args.out, "errors.csv"), ["m", "tau", "error"], rows)
-    if slopes:
-        _write_table(os.path.join(args.out, "slopes.csv"), ["m", "slope", "r_squared"], slopes)
-    _write_manifest(
-        os.path.join(args.out, "manifest.json"),
-        _config_dict(args, {"taus": taus, "orders": args.orders, "t_final": args.t_final}),
-    )
-    return EXIT_OK
+            points.append((tau, temporal_error(final, four_vortex_exact(n_steps * tau, m))))
+        return points
+
+    return _write_order_tables(args, "tau", points_of)
 
 
 def cmd_spatial_order(args):
     solver = _solver_from_args(args)
     n_steps = max(1, int(round(args.t_final / args.tau)))
-    rows = []
-    slopes = []
-    for m in args.orders:
-        p = 15 if (m == 6 and args.p_override_m6) else args.p
+
+    def points_of(m):
+        # m = 6 needs a profile smooth enough to expose its full order
+        p = 15 if m == 6 else args.p
         points = []
         for cells in args.grids:
             system, state = init_grid(cells, p=p, q=args.q, m=m, prune_zero=True)
             _, final = integrate(system, state, args.tau, n_steps, args.method, solver=solver)
             err = spatial_error(system, final, p=p)
             points.append((system.h, err))
-            rows.append([str(m), system.h, err])
             print(f"spatial-order: m={m} cells={cells} h={system.h:.4f} error={err:.6e}")
-        if len(points) >= 3:
-            fit = fit_order(points)
-            slopes.append([str(m), fit.slope, fit.r_squared])
-            print(f"spatial-order: m={m} slope={fit.slope:.4f}")
-    _write_table(os.path.join(args.out, "errors.csv"), ["m", "h", "error"], rows)
-    if slopes:
-        _write_table(os.path.join(args.out, "slopes.csv"), ["m", "slope", "r_squared"], slopes)
-    _write_manifest(
-        os.path.join(args.out, "manifest.json"),
-        _config_dict(args, {"grids": args.grids, "orders": args.orders, "t_final": args.t_final}),
-    )
-    return EXIT_OK
+        return points
+
+    return _write_order_tables(args, "h", points_of)
 
 
 def cmd_timing(args):
     solver = _solver_from_args(args)
     rows = []
-    for seed_offset in range(args.n_seeds):
-        seed = (args.seed or 0) + seed_offset
-        rng = np.random.default_rng(seed)
-        system, state = _random_system(rng, args.m, args.random_vortices or 3)
+    for seed in range(args.seed, args.seed + args.n_seeds):
+        system, state = _random_system(np.random.default_rng(seed), args.m, args.random_vortices)
         base_time = None
         for method in args.methods:
             steps = args.steps
             record, _ = integrate(system, state, args.tau, steps, method, solver=solver,
-                                  sample_stride=max(1, steps // 100) if steps else 1)
+                                  sample_stride=max(1, steps // 100))
             if args.match_time and base_time is None:
                 base_time = record.wall_time
             elif args.match_time and steps and record.wall_time > 0:
@@ -260,11 +227,7 @@ def cmd_timing(args):
          "max_drift_px", "max_drift_py", "max_drift_ell", "max_drift_ham"],
         rows,
     )
-    _write_manifest(
-        os.path.join(args.out, "manifest.json"),
-        _config_dict(args, {"n_seeds": args.n_seeds, "methods": args.methods,
-                            "match_time": args.match_time}),
-    )
+    _write_manifest(args)
     return EXIT_OK
 
 
@@ -289,26 +252,37 @@ def cmd_e1_table(args):
             worst = max(worst, rel)
             rows.append([x, val, ref, rel])
     _write_table(os.path.join(args.out, "e1.csv"), ["x", "value", "reference", "rel_error"], rows)
-    _write_manifest(os.path.join(args.out, "manifest.json"),
-                    _config_dict(args, {"x_min": args.x_min, "x_max": args.x_max,
-                                        "count": args.count, "max_rel_error": worst}))
+    _write_manifest(args, max_rel_error=worst)
     print(f"e1-table: {args.count} points, max relative error {worst:.3e}")
     return EXIT_OK
 
 
-def _add_common(parser):
-    parser.add_argument("--cells", type=int, default=10,
-                        help="grid cells per side (vortex count = cells^2 before pruning)")
-    parser.add_argument("--m", type=int, choices=(2, 4, 6), default=4, help="blob order")
-    parser.add_argument("--q", type=float, default=0.75, help="blob-width exponent, delta = h^q")
-    parser.add_argument("--p", type=int, default=3, help="vorticity profile exponent")
-    parser.add_argument("--tau", type=float, default=1.0, help="time-step size")
-    parser.add_argument("--steps", type=int, default=1000, help="number of steps")
-    parser.add_argument("--method", choices=METHODS, default="dmm")
-    parser.add_argument("--tol", type=float, default=1e-12, help="fixed-point tolerance (relative to position scale)")
-    parser.add_argument("--max-iters", type=int, default=200, help="fixed-point iteration cap")
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized modes")
-    parser.add_argument("--out", default=".", help="output directory")
+# The flags that several subcommands take; a subcommand may replace a
+# default with set_defaults.
+_SHARED_FLAGS = {
+    "--cells": dict(type=int, default=10, help="grid cells per side (vortex count = cells^2 before pruning)"),
+    "--m": dict(type=int, choices=(2, 4, 6), default=4, help="blob order"),
+    "--q": dict(type=float, default=0.75, help="blob-width exponent, delta = h^q"),
+    "--p": dict(type=int, default=3, help="vorticity profile exponent"),
+    "--random-vortices": dict(type=int, default=None,
+                              help="use N random vortices (strengths/positions uniform on "
+                                   "[-1,1], h = delta = 1) instead of the grid"),
+    "--seed": dict(type=int, default=None, help="seed for randomized modes"),
+    "--tau": dict(type=float, default=1.0, help="time-step size"),
+    "--steps": dict(type=int, default=1000, help="number of steps"),
+    "--method": dict(choices=METHODS, default="dmm"),
+    "--orders": dict(type=int, nargs="+", choices=(2, 4, 6), default=[2, 4, 6]),
+    "--tol": dict(type=float, default=1e-12, help="fixed-point tolerance (relative to position scale)"),
+    "--max-iters": dict(type=int, default=200, help="fixed-point iteration cap"),
+    "--out": dict(default=".", help="output directory"),
+}
+_PROBLEM = ("--cells", "--m", "--q", "--p", "--random-vortices", "--seed", "--tau", "--steps")
+_SOLVER = ("--tol", "--max-iters")
+
+
+def _add_flags(parser, *flags):
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser():
@@ -320,50 +294,40 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run one trajectory and write its drift table")
-    _add_common(p_sim)
-    p_sim.add_argument("--random-vortices", type=int, default=None,
-                       help="use N random vortices (strengths/positions uniform on "
-                            "[-1,1], h = delta = 1) instead of the grid")
+    _add_flags(p_sim, *_PROBLEM, "--method", *_SOLVER, "--out")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_con = sub.add_parser("conservation", help="compare rm2/rm4/imm/dmm drifts on one problem")
-    _add_common(p_con)
-    p_con.add_argument("--random-vortices", type=int, default=None)
+    _add_flags(p_con, *_PROBLEM, *_SOLVER, "--out")
     p_con.set_defaults(func=cmd_conservation)
 
     p_tmp = sub.add_parser("temporal-order", help="tau-halving sweep on the 4-vortex ring")
-    _add_common(p_tmp)
-    p_tmp.add_argument("--t-final", type=float, default=10.0)
     p_tmp.add_argument("--taus", type=float, nargs="+", default=[0.5, 0.25, 0.125, 0.0625])
-    p_tmp.add_argument("--orders", type=int, nargs="+", choices=(2, 4, 6), default=[2, 4, 6])
+    p_tmp.add_argument("--t-final", type=float, default=10.0)
+    _add_flags(p_tmp, "--orders", "--method", *_SOLVER, "--out")
     p_tmp.set_defaults(func=cmd_temporal_order)
 
     p_spa = sub.add_parser("spatial-order", help="h-halving velocity-field convergence sweep")
-    _add_common(p_spa)
-    p_spa.add_argument("--t-final", type=float, default=0.001)
-    p_spa.set_defaults(tau=0.001)
     p_spa.add_argument("--grids", type=int, nargs="+", default=[8, 16, 32, 64])
-    p_spa.add_argument("--orders", type=int, nargs="+", choices=(2, 4, 6), default=[2, 4, 6])
-    p_spa.add_argument("--p-override-m6", action=argparse.BooleanOptionalAction, default=True,
-                       help="use p = 15 for the m = 6 sweep (profile smooth enough "
-                            "to expose the full order)")
-    p_spa.set_defaults(func=cmd_spatial_order)
+    p_spa.add_argument("--t-final", type=float, default=0.001)
+    _add_flags(p_spa, "--orders", "--q", "--p", "--tau", "--method", *_SOLVER, "--out")
+    p_spa.set_defaults(tau=0.001, func=cmd_spatial_order)
 
     p_tim = sub.add_parser("timing", help="wall time and drift per method on random systems")
-    _add_common(p_tim)
     p_tim.add_argument("--random-vortices", type=int, default=3)
     p_tim.add_argument("--n-seeds", type=int, default=5)
     p_tim.add_argument("--methods", nargs="+", choices=METHODS, default=["rm2", "rm4", "dmm"])
     p_tim.add_argument("--match-time", action="store_true",
                        help="rescale later methods' step counts to roughly match the "
                             "first method's wall time")
-    p_tim.set_defaults(func=cmd_timing)
+    _add_flags(p_tim, "--seed", "--m", "--tau", "--steps", *_SOLVER, "--out")
+    p_tim.set_defaults(seed=0, func=cmd_timing)
 
     p_e1 = sub.add_parser("e1-table", help="E1 accuracy table against the independent oracle")
-    _add_common(p_e1)
     p_e1.add_argument("--x-min", type=float, default=1e-12)
     p_e1.add_argument("--x-max", type=float, default=34.0)
     p_e1.add_argument("--count", type=int, default=1000)
+    _add_flags(p_e1, "--out")
     p_e1.set_defaults(func=cmd_e1_table)
 
     return parser

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import PairDegeneracyError
+from .errors import ConfigurationError, PairDegeneracyError
 from .expint import exp_integral_e1
 from .model import ORDER_POLYNOMIALS, _check_order, _live_mask, _raise_degenerate, conserved, row_blocks
 
@@ -38,7 +38,7 @@ class CTauParams:
 
     def __post_init__(self):
         if not 0.0 < self.epsilon_switch < 1.0:
-            raise ValueError("epsilon_switch must lie in (0, 1)")
+            raise ConfigurationError("epsilon_switch must lie in (0, 1)")
 
 
 DEFAULT_CTAU = CTauParams()

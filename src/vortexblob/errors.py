@@ -5,7 +5,7 @@ class VortexBlobError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ConfigurationError(VortexBlobError):
+class ConfigurationError(VortexBlobError, ValueError):
     """Invalid static configuration (unsupported order, bad grid, ...)."""
 
 
@@ -27,7 +27,8 @@ class PairDegeneracyError(VortexBlobError):
 
 
 class SolverFailureError(VortexBlobError):
-    """Fixed-point iteration failed to converge within the iteration cap."""
+    """A step failed: the fixed-point iteration did not converge within the
+    iteration cap, or the step produced non-finite positions (a blow-up)."""
 
     def __init__(self, iterations, residual, last_state=None, message=None):
         self.iterations = int(iterations)

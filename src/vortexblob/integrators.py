@@ -36,9 +36,9 @@ class SolverConfig:
 
     def __post_init__(self):
         if not self.tol > 0:
-            raise ValueError("tol must be positive")
+            raise ConfigurationError("tol must be positive")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise ConfigurationError("max_iters must be >= 1")
 
     def threshold(self, state):
         """Absolute convergence threshold for a step starting at state."""
@@ -93,16 +93,21 @@ def _combine(u, h, terms, ks):
     return u + h * functools.reduce(np.add, (ks[j] if c == 1.0 else c * ks[j] for j, c in terms))
 
 
+def _positions(v, t=0.0):
+    """State at positions stacked as (2, M); a non-finite one is a blow-up of the step."""
+    if not np.isfinite(v).all():
+        raise SolverFailureError(0, np.inf, message="step produced non-finite positions")
+    return State(x=v[0], y=v[1], t=t)
+
+
 def _explicit_rk_step(tableau, system, state, tau):
     """One step of an explicit Runge-Kutta method; positions stacked as (2, M)."""
     stages, (scale, terms) = tableau
     u = np.array((state.x, state.y))
     ks = [np.array(rhs(system, state))]
     for stage_scale, stage_terms in stages:
-        v = _combine(u, stage_scale * tau, stage_terms, ks)
-        ks.append(np.array(rhs(system, State(x=v[0], y=v[1]))))
-    v = _combine(u, scale * tau, terms, ks)
-    return State(x=v[0], y=v[1], t=state.t + tau)
+        ks.append(np.array(rhs(system, _positions(_combine(u, stage_scale * tau, stage_terms, ks)))))
+    return _positions(_combine(u, scale * tau, terms, ks), state.t + tau)
 
 
 def rk4_step(system, state, tau):
@@ -133,6 +138,8 @@ def _fixed_point(system, state, tau, solver, field_at):
     for iteration in range(1, solver.max_iters + 1):
         un = u0 + tau * np.array(field_at(u[0], u[1]))
         residual = float(np.abs(un - u).max())
+        if not np.isfinite(residual):  # u is finite, so the new iterate is not
+            raise SolverFailureError(iteration, residual, message=f"iterate {iteration} is not finite")
         u = un
         if residual <= threshold:
             return StepOutcome(next=State(x=u[0], y=u[1], t=state.t + tau), iterations=iteration, residual=residual)
@@ -209,12 +216,15 @@ def integrate(
     """Run n_steps of the chosen method, sampling every sample_stride steps.
 
     The observer, if given, is called as observer(step_index, state) at
-    each sample.  Step errors propagate with the failing step index noted.
+    each sample.  Errors of a step or of its sample propagate with the
+    failing step index noted.
     """
     if method not in _STEP_FUNCTIONS:
         raise ConfigurationError(f"unknown method {method!r}; expected one of {METHODS}")
     if n_steps < 0:
         raise ConfigurationError("n_steps must be >= 0")
+    if not sample_stride >= 1:
+        raise ConfigurationError("sample_stride must be >= 1")
 
     record = RunRecord(
         config={
@@ -249,11 +259,11 @@ def integrate(
     for k in range(1, n_steps + 1):
         try:
             out = step(system, state, tau, **kwargs)
+            state, iters = (out.next, out.iterations) if isinstance(out, StepOutcome) else (out, None)
+            if k % sample_stride == 0 or k == n_steps:
+                sample(k, state, iters)
         except VortexBlobError as exc:
             exc.step_index = k
             raise
-        state, iters = (out.next, out.iterations) if isinstance(out, StepOutcome) else (out, None)
-        if k % sample_stride == 0 or k == n_steps:
-            sample(k, state, iters)
     record.wall_time = time.perf_counter() - start
     return record, state

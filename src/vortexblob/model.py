@@ -13,7 +13,6 @@ Hamiltonian built from log and exponential-integral terms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,11 +39,6 @@ ORDER_POLYNOMIALS = {
     6: OrderPolynomials(q=np.array([1.0, -2.0, 0.5]), p=np.array([3.0, -3.0, 0.5]) / np.pi, r=np.array([-1.5, 0.5])),
 }
 SUPPORTED_ORDERS = tuple(ORDER_POLYNOMIALS)
-
-# Below this value of xi = r^2/delta^2 the ratio C(r^2)/r^2 is evaluated by
-# its Maclaurin series: the direct form divides two vanishing quantities.
-SMALL_XI = 1e-3
-_SERIES_TERMS = 8
 
 
 def _check_order(m):
@@ -74,42 +68,22 @@ def cutoff(m, r2, delta):
     return 1.0 - q_polynomial(m, xi) * np.exp(-xi)
 
 
-def _cutoff_ratio_series_coef(m, terms=_SERIES_TERMS):
-    """Maclaurin coefficients of C(xi)/xi in xi.
-
-    With Q(xi) e^(-xi) = sum a_n xi^n, a_0 = 1 and C(xi) = -sum_{n>=1}
-    a_n xi^n, so C(xi)/xi = -sum_{n>=1} a_n xi^(n-1).
-    """
-    q = ORDER_POLYNOMIALS[m].q
-    n = terms + 1
-    expc = np.array([(-1.0) ** k / float(math.factorial(k)) for k in range(n)])
-    prod = np.convolve(q, expc)[:n]
-    return -prod[1:]
-
-
-_RATIO_COEF = {m: _cutoff_ratio_series_coef(m) for m in SUPPORTED_ORDERS}
-
-
 def cutoff_over_r2(m, r2, delta):
     """C(r2)/r2, finite and smooth through r2 = 0 (vectorized).
 
-    Uses the Maclaurin series of C(xi)/xi for xi = r2/delta^2 < SMALL_XI,
-    otherwise direct evaluation.
+    With xi = r2/delta^2 and S(xi) = (1 - Q(xi))/xi, a polynomial,
+    C(xi)/xi = (1 - exp(-xi))/xi + S(xi) exp(-xi); both terms are
+    evaluated without cancellation, and the first tends to 1 at xi = 0.
     """
     _check_order(m)
     xi = np.asarray(r2, dtype=float) / delta**2
-    scalar = xi.ndim == 0
-    xi = np.atleast_1d(xi)
-    out = np.empty_like(xi)
-    small = xi < SMALL_XI
-    if np.any(small):
-        out[small] = np.polynomial.polynomial.polyval(xi[small], _RATIO_COEF[m])
-    big = ~small
-    if np.any(big):
-        xb = xi[big]
-        out[big] = (1.0 - q_polynomial(m, xb) * np.exp(-xb)) / xb
+    minus_xi = -xi
+    out = np.divide(-np.expm1(minus_xi), xi, out=np.ones_like(xi), where=xi > 0)
+    s = -ORDER_POLYNOMIALS[m].q[1:]
+    if s.size:
+        out += np.polynomial.polynomial.polyval(xi, s) * np.exp(minus_xi)
     out /= delta**2
-    return float(out[0]) if scalar else out
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -212,9 +186,9 @@ def _live_mask(system, sl):
 def rhs(system, state):
     """Right-hand side of the vortex-blob ODEs.
 
-    Returns (xdot, ydot).  The factor C(r^2)/r^2 is evaluated by its
-    series branch near r = 0, so the velocities are finite and smooth
-    for close (zero-strength) pairs.
+    Returns (xdot, ydot).  The factor C(r^2)/r^2 is finite through r = 0,
+    so the velocities are finite and smooth for close (zero-strength)
+    pairs.
     """
     M = system.size
     xdot = np.zeros(M)

@@ -188,6 +188,14 @@ class TestExitCodes:
         assert main(["no-such-command"]) == EXIT_USAGE
         assert main(["e1-table", "--x-min", "-1", "--count", "5",
                      "--out", str(tmp_path)]) == EXIT_USAGE
+        out = ["--out", str(tmp_path / "bad")]
+        for argv in (["simulate", "--tol", "-1"],
+                     ["simulate", "--max-iters", "0"],
+                     ["simulate", "--random-vortices", "0"],
+                     ["timing", "--random-vortices", "0"],
+                     ["e1-table", "--method", "dmm"],
+                     ["temporal-order", "--cells", "4"]):
+            assert main(argv + out) == EXIT_USAGE, argv
 
     def test_solver_failure_exit(self, tmp_path):
         code = main(["simulate", "--cells", "4", "--steps", "2", "--tau", "0.5",
@@ -198,3 +206,37 @@ class TestExitCodes:
     def test_success_exit_is_zero(self, tmp_path):
         assert main(["simulate", "--cells", "2", "--steps", "1",
                      "--out", str(tmp_path / "ok")]) == EXIT_OK
+
+
+class TestManifest:
+    # Each subcommand's flags (as parser dests) and the results it adds.
+    FLAGS = {
+        "simulate": "cells m q p random_vortices seed tau steps method tol max_iters out",
+        "conservation": "cells m q p random_vortices seed tau steps tol max_iters out",
+        "temporal-order": "taus t_final orders method tol max_iters out",
+        "spatial-order": "grids orders q p tau t_final method tol max_iters out",
+        "timing": "random_vortices n_seeds seed m tau steps methods match_time tol max_iters out",
+        "e1-table": "x_min x_max count out",
+    }
+    RESULTS = {"simulate": "M wall_time", "conservation": "M", "e1-table": "max_rel_error"}
+    DEFAULTS = {"timing": {"seed": 0, "random_vortices": 3}}
+    TOY_ARGS = {
+        "simulate": ["--cells", "3", "--steps", "2"],
+        "conservation": ["--cells", "3", "--steps", "2"],
+        "temporal-order": ["--taus", "0.5", "--orders", "2", "--t-final", "1"],
+        "spatial-order": ["--grids", "4", "--orders", "2"],
+        "timing": ["--steps", "2", "--n-seeds", "1", "--methods", "rm2"],
+        "e1-table": ["--count", "3"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_manifest_holds_flags_and_results(self, command, tmp_path):
+        out = str(tmp_path / command)
+        assert main([command, *self.TOY_ARGS[command], "--out", out]) == EXIT_OK
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        expected = {"command", *self.FLAGS[command].split(), *self.RESULTS.get(command, "").split()}
+        assert set(manifest) == expected
+        assert manifest["command"] == command
+        assert manifest["out"] == out
+        for key, value in self.DEFAULTS.get(command, {}).items():
+            assert manifest[key] == value

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import vortexblob.integrators
-from vortexblob.errors import ConfigurationError, PairDegeneracyError, SolverFailureError
+from vortexblob.errors import ConfigurationError, DomainError, PairDegeneracyError, SolverFailureError
 from vortexblob.integrators import (
     METHODS,
     SolverConfig,
@@ -77,6 +77,9 @@ class TestDriver:
             integrate(system, state, 0.1, 10, "euler")
         with pytest.raises(ConfigurationError):
             integrate(system, state, 0.1, -1, "rk4")
+        for stride in (0, -1):
+            with pytest.raises(ConfigurationError):
+                integrate(system, state, 0.1, 3, "rk4", sample_stride=stride)
 
     def test_zero_steps_records_initial_sample_only(self):
         system, state = four_vortex_ring(4)
@@ -125,6 +128,45 @@ class TestDriver:
         with pytest.raises(PairDegeneracyError) as exc:
             integrate(system, state, 0.1, 5, "rk4")
         assert exc.value.step_index == 3
+
+        # the sample after step 2 (the initial state is sample 1) fails
+        real_conserved = vortexblob.integrators.conserved
+        samples = []
+
+        def failing_conserved(system, state):
+            samples.append(1)
+            if len(samples) > 2:
+                raise DomainError("sample failed")
+            return real_conserved(system, state)
+
+        monkeypatch.setattr(vortexblob.integrators, "rhs", real_rhs)
+        monkeypatch.setattr(vortexblob.integrators, "conserved", failing_conserved)
+        with pytest.raises(DomainError) as exc:
+            integrate(system, state, 0.1, 5, "rk4")
+        assert exc.value.step_index == 2
+
+    @staticmethod
+    def blow_up_problem():
+        # velocities near 1e199 carried over tau = 1e120: positions overflow
+        system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=[1e200, -1e200, 1e200])
+        return system, State(x=[0.0, 0.5, -0.3], y=[0.1, -0.2, 0.4])
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("method", METHODS)
+    def test_blow_up_is_solver_failure(self, method):
+        with pytest.raises(SolverFailureError) as exc:
+            integrate(*self.blow_up_problem(), 1e120, 3, method)
+        assert exc.value.step_index == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("method", ["imm", "dmm"])
+    def test_non_finite_iterate_is_solver_failure(self, method, monkeypatch):
+        # a predictor that stays put leaves the overflow to the first iterate
+        monkeypatch.setattr(vortexblob.integrators, "rk4_step", lambda system, state, tau: state)
+        with pytest.raises(SolverFailureError) as exc:
+            integrate(*self.blow_up_problem(), 1e120, 3, method)
+        assert exc.value.step_index == 1
+        assert exc.value.iterations == 1
 
     def test_observer_called_at_samples(self):
         system, state = four_vortex_ring(2)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from vortexblob.errors import ConfigurationError, PairDegeneracyError
 from vortexblob.model import (
-    SMALL_XI,
+    ORDER_POLYNOMIALS,
     BlobSystem,
     State,
     blob_vorticity,
@@ -63,20 +63,23 @@ class TestKernels:
         assert cutoff(4, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_cutoff_over_r2_matches_direct_form(self):
-        r2 = np.array([SMALL_XI * 1.5, 0.1, 1.0, 9.0])
+        r2 = np.array([1.5e-3, 0.1, 1.0, 9.0])
         for m in (2, 4, 6):
             direct = cutoff(m, r2, 1.3) / r2
             assert cutoff_over_r2(m, r2, 1.3) == pytest.approx(direct, rel=1e-14)
 
-    def test_cutoff_over_r2_series_branch_matches_direct(self):
-        # just below the switch point the series value must agree with the
-        # (still well-conditioned) direct ratio at the same argument
-        for m in (2, 4, 6):
-            for delta in (0.5, 1.0, 2.0):
-                r2 = 0.999 * SMALL_XI * delta**2
-                series_value = cutoff_over_r2(m, r2, delta)
-                direct = cutoff(m, r2, delta) / r2
-                assert series_value == pytest.approx(direct, rel=1e-10)
+    def test_cutoff_over_r2_matches_mpmath(self):
+        # (1 - Q(xi) e^(-xi))/xi at 40 digits, delta = 1 so r2 = xi
+        mpmath = pytest.importorskip("mpmath")
+        xi = np.geomspace(1e-12, 100.0, 400)
+        with mpmath.workdps(40):
+            for m in (2, 4, 6):
+                q = ORDER_POLYNOMIALS[m].q
+                exact = []
+                for x in map(mpmath.mpf, xi):
+                    big_q = sum(mpmath.mpf(float(c)) * x**k for k, c in enumerate(q))
+                    exact.append(float((1 - big_q * mpmath.exp(-x)) / x))
+                assert cutoff_over_r2(m, xi, 1.0) == pytest.approx(exact, rel=1e-15, abs=0.0)
 
     def test_cutoff_over_r2_finite_at_zero(self):
         # C(r2)/r2 -> -a_1/delta^2 where a_1 is the linear Taylor
