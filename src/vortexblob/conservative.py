@@ -10,7 +10,10 @@ linear impulses, angular impulse, and Hamiltonian of the system are
 preserved exactly (up to solver tolerance) on each step.  This module
 builds f_tau (``dmm_rhs``), its residual, and the discrete multiplier
 identities behind the conservation; :func:`vortexblob.integrators.dmm_step`
-solves the update.
+solves the update.  The pair sums run over the blocked pair traversal of
+:mod:`vortexblob.model`, which checks the two levels for coincident
+vortices, and the discrete multiplier is model's ``multiplier`` built
+from f_tau.
 
 The divided-difference factor ``c_tau`` is singular-looking when the two
 pair separations agree; a truncated Taylor expansion in (z - 1), with
@@ -27,7 +30,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import ConfigurationError, PairDegeneracyError
 from .expint import exp_integral_e1
-from .model import ORDER_POLYNOMIALS, _check_order, _live_mask, _raise_degenerate, conserved, row_blocks
+from .model import ORDER_POLYNOMIALS, _check_order, conserved, multiplier, pair_blocks, velocity_rows
 
 
 @dataclass(frozen=True)
@@ -140,56 +143,23 @@ def c_tau(m, xi_k, xi_k1, params=DEFAULT_CTAU):
     return float(out[0]) if scalar else out
 
 
-def _pair_factor_blocks(system, prev, cand, params):
-    """Yield (rows, bx, by, weight) over row blocks to bound peak memory.
-
-    bx, by are midpoint pair differences; weight = c_tau / r2^k with zeros
-    on the diagonal and on coincident zero-strength pairs.
-    """
-    M = system.size
-    d2 = system.delta**2
-    for sl in row_blocks(M, M):
-        dxk = prev.x[sl, None] - prev.x[None, :]
-        dyk = prev.y[sl, None] - prev.y[None, :]
-        r2k = dxk * dxk + dyk * dyk
-        dx1 = cand.x[sl, None] - cand.x[None, :]
-        dy1 = cand.y[sl, None] - cand.y[None, :]
-        r21 = dx1 * dx1 + dy1 * dy1
-        live = _live_mask(system, sl)
-        _raise_degenerate(live, r2k, sl)
-        _raise_degenerate(live, r21, sl)
-        off = (r2k > 0.0) & (r21 > 0.0)
-        rows = np.arange(sl.start, sl.stop)
-        off[np.arange(rows.size), rows] = False
-        weight = np.zeros_like(r2k)
-        weight[off] = c_tau(system.m, r2k[off] / d2, r21[off] / d2, params) / r2k[off]
-        yield sl, 0.5 * (dx1 + dxk), 0.5 * (dy1 + dyk), weight
-
-
-def _pair_factor(system, prev, cand, params):
-    """Full (M, M) midpoint differences and weights; verification paths only."""
-    M = system.size
-    bx = np.empty((M, M))
-    by = np.empty((M, M))
-    weight = np.empty((M, M))
-    for sl, bbx, bby, bw in _pair_factor_blocks(system, prev, cand, params):
-        bx[sl], by[sl], weight[sl] = bbx, bby, bw
-    return bx, by, weight
-
-
 def dmm_rhs(system, prev, cand, params=DEFAULT_CTAU):
     """Discrete right-hand side built from midpoint averages and c_tau.
 
-    Reduces to the continuous rhs when cand == prev.
+    The pair weight c_tau / r2^k replaces C(r2)/r2 of the continuous rhs,
+    to which this reduces when cand == prev.  Pairs at zero distance on
+    either level (the diagonal, coincident zero-strength vortices) get no
+    weight.
     """
-    M = system.size
-    xdot = np.empty(M)
-    ydot = np.empty(M)
+    xdot = np.empty(system.size)
+    ydot = np.empty(system.size)
     scale = system.kappa / (2.0 * np.pi)
-    for sl, bx, by, weight in _pair_factor_blocks(system, prev, cand, params):
-        w = weight * scale[None, :]
-        xdot[sl] = -(w * by).sum(axis=1)
-        ydot[sl] = (w * bx).sum(axis=1)
+    d2 = system.delta**2
+    for (sl, dxk, dyk, r2k), (_, dx1, dy1, r21) in zip(pair_blocks(system, prev), pair_blocks(system, cand)):
+        off = (r2k > 0.0) & (r21 > 0.0)
+        weight = np.zeros_like(r2k)
+        weight[off] = c_tau(system.m, r2k[off] / d2, r21[off] / d2, params) / r2k[off]
+        xdot[sl], ydot[sl] = velocity_rows(weight, 0.5 * (dx1 + dxk), 0.5 * (dy1 + dyk), scale)
     return xdot, ydot
 
 
@@ -206,22 +176,12 @@ def dmm_residual(system, prev, cand, tau, params=DEFAULT_CTAU):
 def discrete_multiplier_matrix(system, prev, cand, params=DEFAULT_CTAU):
     """Discrete multiplier: 4 x 2M matrix on a pair of states.
 
-    Assembled only in verification paths.
+    Built from f_tau at the midpoint of the two levels, as the continuous
+    multiplier is built from the ODE field at the state.  Assembled only in
+    verification paths.
     """
-    M = system.size
-    kappa = system.kappa
-    bx_i = 0.5 * (cand.x + prev.x)
-    by_i = 0.5 * (cand.y + prev.y)
-    bx, by, weight = _pair_factor(system, prev, cand, params)
-    lam = np.zeros((4, 2 * M))
-    lam[0, M:] = kappa
-    lam[1, :M] = -kappa
-    lam[2, :M] = -kappa * bx_i
-    lam[2, M:] = -kappa * by_i
-    kk = kappa[:, None] * kappa[None, :]
-    lam[3, :M] = -(kk * bx * weight).sum(axis=1) / (2.0 * np.pi)
-    lam[3, M:] = -(kk * by * weight).sum(axis=1) / (2.0 * np.pi)
-    return lam
+    f = dmm_rhs(system, prev, cand, params)
+    return multiplier(system.kappa, 0.5 * (cand.x + prev.x), 0.5 * (cand.y + prev.y), *f)
 
 
 def discrete_multiplier_residuals(system, prev, cand, tau, params=DEFAULT_CTAU):
@@ -231,11 +191,11 @@ def discrete_multiplier_residuals(system, prev, cand, tau, params=DEFAULT_CTAU):
     conserved quantities; res2: Lambda_tau f_tau.  Both vanish identically
     for arbitrary state pairs, not just scheme solutions.
     """
-    lam = discrete_multiplier_matrix(system, prev, cand, params)
+    f = dmm_rhs(system, prev, cand, params)
+    lam = multiplier(system.kappa, 0.5 * (cand.x + prev.x), 0.5 * (cand.y + prev.y), *f)
     dx = np.concatenate([cand.x - prev.x, cand.y - prev.y]) / tau
     psi_prev = conserved(system, prev).as_array()
     psi_cand = conserved(system, cand).as_array()
     res1 = float(np.abs(lam @ dx - (psi_cand - psi_prev) / tau).max())
-    f = np.concatenate(dmm_rhs(system, prev, cand, params))
-    res2 = float(np.abs(lam @ f).max())
+    res2 = float(np.abs(lam @ np.concatenate(f)).max())
     return res1, res2

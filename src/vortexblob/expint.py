@@ -19,6 +19,9 @@ from .errors import DomainError
 
 EULER_GAMMA = 0.5772156649015328606
 
+# Upper end of the power-series regime; the Chebyshev fit covers (1, CUTOFF].
+SERIES_MAX = 1.0
+
 # Hard cutoff: |E1(x)| < 1e-16 for x > 34, below double-precision resolution
 # of the Hamiltonian terms it feeds into.
 CUTOFF = 34.0
@@ -56,19 +59,6 @@ _CHEB_COEF = np.array([
 _LOG_HI = np.log(CUTOFF)
 
 
-class E1Regime:
-    """Boundaries of the evaluation regimes, strictly increasing."""
-
-    SERIES_MAX = 1.0
-    RATIONAL_MAX = CUTOFF
-
-    kinds = ("series", "rational", "asymptotic-cutoff")
-
-    @classmethod
-    def boundaries(cls):
-        return (cls.SERIES_MAX, cls.RATIONAL_MAX)
-
-
 def _series(x):
     """E1 power series, valid for 0 < x <= 1 (vectorized)."""
     x = np.asarray(x, dtype=float)
@@ -101,7 +91,7 @@ def exp_integral_e1(x):
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     out = np.zeros_like(arr)
-    small = arr <= E1Regime.SERIES_MAX
+    small = arr <= SERIES_MAX
     mid = (~small) & (arr <= CUTOFF)
     if np.any(small):
         out[small] = _series(arr[small])

@@ -42,7 +42,7 @@ class SolverConfig:
 
     def threshold(self, state):
         """Absolute convergence threshold for a step starting at state."""
-        scale = max(1.0, float(np.abs(state.x).max()), float(np.abs(state.y).max()))
+        scale = max(1.0, float(np.abs(state.x).max(initial=0.0)), float(np.abs(state.y).max(initial=0.0)))
         return self.tol * scale
 
 
@@ -137,7 +137,7 @@ def _fixed_point(system, state, tau, solver, field_at):
     residual = np.inf
     for iteration in range(1, solver.max_iters + 1):
         un = u0 + tau * np.array(field_at(u[0], u[1]))
-        residual = float(np.abs(un - u).max())
+        residual = float(np.abs(un - u).max(initial=0.0))
         if not np.isfinite(residual):  # u is finite, so the new iterate is not
             raise SolverFailureError(iteration, residual, message=f"iterate {iteration} is not finite")
         u = un

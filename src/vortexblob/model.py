@@ -9,6 +9,11 @@ where K is the point-vortex kernel and ``C(r2) = 1 - Q(r2/delta^2) *
 exp(-r2/delta^2)`` is the smoothing cutoff of order m in {2, 4, 6}.
 The flow conserves the linear impulses, the angular impulse, and a
 Hamiltonian built from log and exponential-integral terms.
+
+Every O(M^2) sum of the package, here and in the conservative scheme, runs
+over one blocked pair traversal, ``pair_blocks``, which also owns the check
+for coincident strength-bearing vortices.  The multiplier of the
+conservation laws is built from a vector field by ``multiplier``.
 """
 
 from __future__ import annotations
@@ -155,32 +160,36 @@ def row_blocks(n_rows, n_cols):
         yield slice(start, min(start + step, n_rows))
 
 
-def _pairwise(state):
-    """Pairwise differences and squared distances, (M, M) arrays.
+def pair_blocks(system, state, points=None):
+    """The one pair traversal: yield (rows, dx, dy, r2) over row blocks.
 
-    Full matrices; verification-path only.  The stepping paths use the
-    blocked accumulators below.
+    dx, dy are the differences of the points (px, py) from the vortices and
+    r2 their squared distances, (block, M) arrays.  Without points, the
+    points are the vortices themselves: r2 is then 0 on the diagonal, and a
+    strength-bearing pair at zero distance raises PairDegeneracyError.
     """
-    dx = state.x[:, None] - state.x[None, :]
-    dy = state.y[:, None] - state.y[None, :]
-    return dx, dy, dx * dx + dy * dy
+    px, py = (state.x, state.y) if points is None else points
+    for sl in row_blocks(px.size, system.size):
+        dx = px[sl, None] - state.x[None, :]
+        dy = py[sl, None] - state.y[None, :]
+        r2 = dx * dx + dy * dy
+        if points is None and np.count_nonzero(r2 == 0.0) > r2.shape[0]:  # a zero off the diagonal
+            live = system.kappa != 0.0
+            bad = (r2 == 0.0) & live[sl, None] & live[None, :]
+            bad[np.arange(r2.shape[0]), np.arange(sl.start, sl.stop)] = False
+            if bad.any():
+                bi, j = np.argwhere(bad)[0]
+                raise PairDegeneracyError(sl.start + bi, j)
+        yield sl, dx, dy, r2
 
 
-def _raise_degenerate(live_rows, r2, sl):
-    """live_rows: (block, M) mask of strength-bearing pairs off diagonal."""
-    bad = (r2 == 0.0) & live_rows
-    if np.any(bad):
-        bi, j = np.argwhere(bad)[0]
-        raise PairDegeneracyError(sl.start + bi, j)
+def velocity_rows(weight, dx, dy, scale):
+    """Velocity (u, v) of a row block from its pair weights and differences.
 
-
-def _live_mask(system, sl):
-    """Off-diagonal strength-bearing pair mask for one row block."""
-    nz = system.kappa != 0.0
-    live = np.outer(nz[sl], nz)
-    rows = np.arange(sl.start, sl.stop)
-    live[np.arange(rows.size), rows] = False
-    return live
+    u_i = -sum_j weight_ij scale_j dy_ij and v_i = sum_j weight_ij scale_j dx_ij.
+    """
+    w = weight * scale[None, :]
+    return -(w * dy).sum(axis=1), (w * dx).sum(axis=1)
 
 
 def rhs(system, state):
@@ -188,24 +197,20 @@ def rhs(system, state):
 
     Returns (xdot, ydot).  The factor C(r^2)/r^2 is finite through r = 0,
     so the velocities are finite and smooth for close (zero-strength)
-    pairs.
+    pairs; the self-term vanishes because dx = dy = 0 on the diagonal.
     """
-    M = system.size
-    xdot = np.zeros(M)
-    ydot = np.zeros(M)
+    xdot = np.empty(system.size)
+    ydot = np.empty(system.size)
     scale = system.kappa / (2.0 * np.pi)
-    for sl in row_blocks(M, M):
-        dx = state.x[sl, None] - state.x[None, :]
-        dy = state.y[sl, None] - state.y[None, :]
-        r2 = dx * dx + dy * dy
-        _raise_degenerate(_live_mask(system, sl), r2, sl)
-        g = cutoff_over_r2(system.m, r2, system.delta)
-        rows = np.arange(sl.start, sl.stop)
-        g[np.arange(rows.size), rows] = 0.0
-        w = g * scale[None, :]
-        xdot[sl] = -(w * dy).sum(axis=1)
-        ydot[sl] = (w * dx).sum(axis=1)
+    for sl, dx, dy, r2 in pair_blocks(system, state):
+        xdot[sl], ydot[sl] = velocity_rows(cutoff_over_r2(system.m, r2, system.delta), dx, dy, scale)
     return xdot, ydot
+
+
+def _points(z):
+    """(single, (px, py)) for one point (2,) or an array of points (N, 2)."""
+    pts = np.atleast_2d(np.asarray(z, dtype=float))
+    return np.ndim(z) == 1, (pts[:, 0], pts[:, 1])
 
 
 def velocity_field(system, state, z):
@@ -214,36 +219,20 @@ def velocity_field(system, state, z):
     z may be a single point (2,) or an array of points (N, 2); the result
     has the same leading shape.
     """
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    pts = np.atleast_2d(z)
-    n = pts.shape[0]
-    u = np.zeros(n)
-    v = np.zeros(n)
+    single, points = _points(z)
+    out = np.empty((points[0].size, 2))
     scale = system.kappa / (2.0 * np.pi)
-    for sl in row_blocks(n, system.size):
-        dx = pts[sl, 0][:, None] - state.x[None, :]
-        dy = pts[sl, 1][:, None] - state.y[None, :]
-        r2 = dx * dx + dy * dy
-        g = cutoff_over_r2(system.m, r2, system.delta)
-        w = g * scale[None, :]
-        u[sl] = -(w * dy).sum(axis=1)
-        v[sl] = (w * dx).sum(axis=1)
-    out = np.column_stack([u, v])
+    for sl, dx, dy, r2 in pair_blocks(system, state, points):
+        out[sl, 0], out[sl, 1] = velocity_rows(cutoff_over_r2(system.m, r2, system.delta), dx, dy, scale)
     return out[0] if single else out
 
 
 def blob_vorticity(system, state, z):
     """Smoothed vorticity field at evaluation points z."""
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    pts = np.atleast_2d(z)
-    n = pts.shape[0]
-    out = np.zeros(n)
-    for sl in row_blocks(n, system.size):
-        dx = pts[sl, 0][:, None] - state.x[None, :]
-        dy = pts[sl, 1][:, None] - state.y[None, :]
-        xi = (dx * dx + dy * dy) / system.delta**2
+    single, points = _points(z)
+    out = np.empty(points[0].size)
+    for sl, _, _, r2 in pair_blocks(system, state, points):
+        xi = r2 / system.delta**2
         zeta = p_polynomial(system.m, xi) * np.exp(-xi) / system.delta**2
         out[sl] = (zeta * system.kappa[None, :]).sum(axis=1)
     return float(out[0]) if single else out
@@ -268,45 +257,32 @@ def conserved(system, state):
     px = float((kappa * state.y).sum())
     py = float(-(kappa * state.x).sum())
     ell = float(-0.5 * (kappa * (state.x**2 + state.y**2)).sum())
-    M = system.size
+    live = kappa != 0.0
+    cols = np.arange(system.size)
     ham = 0.0
-    for sl in row_blocks(M, M):
-        dx = state.x[sl, None] - state.x[None, :]
-        dy = state.y[sl, None] - state.y[None, :]
-        r2 = dx * dx + dy * dy
-        live = _live_mask(system, sl)
-        _raise_degenerate(live, r2, sl)
-        # count each pair once: keep columns strictly above the row index
-        upper = live & (np.arange(M)[None, :] > np.arange(sl.start, sl.stop)[:, None])
-        if np.any(upper):
-            bi, j = np.nonzero(upper)
-            pair_k = kappa[sl.start + bi] * kappa[j]
-            v = pair_potential(system.m, r2[bi, j], system.delta)
-            ham -= float((pair_k * v).sum()) / (4.0 * np.pi)
+    for sl, _, _, r2 in pair_blocks(system, state):
+        # each strength-bearing pair once: columns strictly above the row index
+        bi, j = np.nonzero(live[sl, None] & live[None, :] & (cols[None, :] > cols[sl, None]))
+        v = pair_potential(system.m, r2[bi, j], system.delta)
+        ham -= float((kappa[sl.start + bi] * kappa[j] * v).sum()) / (4.0 * np.pi)
     return ConservedSet(gamma=float(gamma), px=px, py=py, ell=ell, ham=ham)
 
 
-def multiplier_matrix(system, state):
+def multiplier(kappa, x, y, u, v):
     """Conservation-law multiplier: 4 x 2M matrix with rows (Px, Py, L, H).
 
-    The product with the ODE right-hand side vanishes identically; assembled
-    only in verification paths, never while stepping.
+    Built at positions (x, y) from the vector field (u, v) there: the H row
+    is (-kappa v, kappa u), the field turned by the strengths, so every row
+    annihilates (u, v).  The continuous multiplier uses the ODE field at the
+    state, the discrete one f_tau at the midpoint of the two levels.
     """
-    M = system.size
-    kappa = system.kappa
-    dx, dy, r2 = _pairwise(state)
-    g = cutoff_over_r2(system.m, r2, system.delta)
-    np.fill_diagonal(g, 0.0)
-    lam = np.zeros((4, 2 * M))
-    lam[0, M:] = kappa
-    lam[1, :M] = -kappa
-    lam[2, :M] = -kappa * state.x
-    lam[2, M:] = -kappa * state.y
-    hx = -(kappa[:, None] * kappa[None, :] * dx * g).sum(axis=1) / (2.0 * np.pi)
-    hy = -(kappa[:, None] * kappa[None, :] * dy * g).sum(axis=1) / (2.0 * np.pi)
-    lam[3, :M] = hx
-    lam[3, M:] = hy
-    return lam
+    zero = np.zeros_like(kappa)
+    return np.block([[zero, kappa], [-kappa, zero], [-kappa * x, -kappa * y], [-kappa * v, kappa * u]])
+
+
+def multiplier_matrix(system, state):
+    """Continuous multiplier at a state; assembled only in verification paths."""
+    return multiplier(system.kappa, state.x, state.y, *rhs(system, state))
 
 
 def initial_vorticity(r, p=3):

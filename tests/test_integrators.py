@@ -105,6 +105,13 @@ class TestDriver:
             if method in ("imm", "dmm"):
                 assert len(record.iterations) == 4
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_empty_system_runs(self, method):
+        system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=[])
+        record, final = integrate(system, State(x=[], y=[]), 0.1, 2, method)
+        assert final.t == pytest.approx(0.2)
+        assert final.x.size == 0 and len(record.times) == 3
+
     def test_solver_failure_tagged_with_step(self):
         system, state = four_vortex_ring(2)
         with pytest.raises(SolverFailureError) as exc:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vortexblob.model
+from vortexblob.conservative import dmm_rhs
 from vortexblob.errors import ConfigurationError, PairDegeneracyError
 from vortexblob.model import (
     ORDER_POLYNOMIALS,
@@ -152,10 +154,12 @@ class TestDynamics:
         assert np.abs(lam @ f).max() <= 1e-13 * scale
 
     def test_rhs_is_hamiltonian_gradient(self):
-        # kappa_i xdot_i = dH/dy_i and kappa_i ydot_i = -dH/dx_i
+        # kappa_i xdot_i = dH/dy_i and kappa_i ydot_i = -dH/dx_i; the
+        # multiplier's H row is that gradient, (dH/dx, dH/dy)
         rng = np.random.default_rng(3)
         system, state = random_system(rng, 5, m=6)
         fx, fy = rhs(system, state)
+        h_row = multiplier_matrix(system, state)[3]
         eps = 1e-6
         for i in range(5):
             for axis in ("x", "y"):
@@ -167,6 +171,7 @@ class TestDynamics:
                     minus = conserved(system, State(x=xs, y=ys)).ham
                     grad = (plus - minus) / (2 * eps)
                     assert grad == pytest.approx(-system.kappa[i] * fy[i], abs=2e-9)
+                    assert grad == pytest.approx(h_row[i], abs=2e-9)
                 else:
                     ys[i] += eps
                     plus = conserved(system, State(x=xs, y=ys)).ham
@@ -174,6 +179,7 @@ class TestDynamics:
                     minus = conserved(system, State(x=xs, y=ys)).ham
                     grad = (plus - minus) / (2 * eps)
                     assert grad == pytest.approx(system.kappa[i] * fx[i], abs=2e-9)
+                    assert grad == pytest.approx(h_row[5 + i], abs=2e-9)
 
 
 class TestConserved:
@@ -211,6 +217,53 @@ class TestConserved:
         assert pair_potential(6, xi, 1.0) == pytest.approx(
             base + (-1.5 + 0.5 * xi) * np.exp(-xi)
         )
+
+
+class TestRowBlocks:
+    """One-row blocks (a tiny element budget) against the one-block result."""
+
+    @staticmethod
+    def system_and_states():
+        # vortex 2 has zero strength and sits on vortex 3: an extra zero of
+        # r2 that must neither raise nor contribute
+        rng = np.random.default_rng(17)
+        kappa = rng.uniform(-1.0, 1.0, 7)
+        kappa[2] = 0.0
+        x, y = rng.uniform(-1.0, 1.0, 7), rng.uniform(-1.0, 1.0, 7)
+        cx, cy = x + 0.05 * rng.uniform(-1.0, 1.0, 7), y + 0.05 * rng.uniform(-1.0, 1.0, 7)
+        x[2], y[2], cx[2], cy[2] = x[3], y[3], cx[3], cy[3]
+        prev, cand = State(x=x, y=y), State(x=cx, y=cy)
+        system = BlobSystem(m=6, h=1.0, delta=0.7, kappa=kappa)
+        return system, prev, cand, rng.uniform(-1.5, 1.5, (9, 2))
+
+    @staticmethod
+    def outputs(system, prev, cand, pts):
+        return (
+            np.concatenate(rhs(system, prev)),
+            np.concatenate(dmm_rhs(system, prev, cand)),
+            velocity_field(system, prev, pts),
+            blob_vorticity(system, prev, pts),
+        )
+
+    def test_one_row_blocks_match_one_block(self, monkeypatch):
+        system, prev, cand, pts = self.system_and_states()
+        whole = self.outputs(system, prev, cand, pts)
+        ham = conserved(system, prev).ham
+        monkeypatch.setattr(vortexblob.model, "_BLOCK_ELEMS", 1)
+        for a, b in zip(self.outputs(system, prev, cand, pts), whole):
+            assert np.array_equal(a, b)
+        assert conserved(system, prev).ham == pytest.approx(ham, rel=1e-14, abs=0.0)
+
+    def test_coincident_pair_raises_with_global_indices(self, monkeypatch):
+        monkeypatch.setattr(vortexblob.model, "_BLOCK_ELEMS", 1)
+        system, prev, cand, _ = self.system_and_states()
+        x, y = prev.x.copy(), prev.y.copy()
+        x[5], y[5] = x[4], y[4]
+        bad = State(x=x, y=y)
+        for call in (lambda: rhs(system, bad), lambda: dmm_rhs(system, cand, bad), lambda: conserved(system, bad)):
+            with pytest.raises(PairDegeneracyError) as exc:
+                call()
+            assert {exc.value.i, exc.value.j} == {4, 5}
 
 
 class TestGrid:
