@@ -8,12 +8,15 @@ where f_tau replaces the continuous cutoff factor C(r^2)/r^2 by a divided
 difference of the pair potential between the two time levels, so the
 linear impulses, angular impulse, and Hamiltonian of the system are
 preserved exactly (up to solver tolerance) on each step.  This module
-builds f_tau (``dmm_rhs``), its residual, and the discrete multiplier
-identities behind the conservation; :func:`vortexblob.integrators.dmm_step`
-solves the update.  The pair sums run over the blocked pair traversal of
-:mod:`vortexblob.model`, which checks the two levels for coincident
-vortices, and the discrete multiplier is model's ``multiplier`` built
-from f_tau.
+builds f_tau, its residual, and the discrete multiplier identities behind
+the conservation; :func:`vortexblob.integrators.dmm_step` solves the
+update.  ``PrevLevel`` builds the prev level once per step: over the
+chunked pair triangle i < j of :mod:`vortexblob.model`, which checks for
+coincident vortices, it holds each pair's differences, xi_k, exp(-xi_k)
+and E1(xi_k).  Each Picard iterate then forms only the cand level and
+scatters each pair's antisymmetric contribution to both of its vortices.
+``dmm_rhs`` is the one-call form (build, evaluate once).  The discrete
+multiplier is model's ``multiplier`` built from f_tau.
 
 The divided-difference factor ``c_tau`` is singular-looking when the two
 pair separations agree; a truncated Taylor expansion in (z - 1), with
@@ -23,14 +26,16 @@ small switch threshold.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConfigurationError, PairDegeneracyError
+from . import model
+from .errors import ConfigurationError, DomainError
 from .expint import exp_integral_e1
-from .model import ORDER_POLYNOMIALS, _check_order, conserved, multiplier, pair_blocks, velocity_rows
+from .model import ORDER_POLYNOMIALS, _check_order, conserved, multiplier, pair_differences, triangle_blocks
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,46 @@ def _divided_difference(coef, a, b):
     return d
 
 
+def _taylor_form(m, xi_k, e_k, s):
+    """c_tau_taylor from xi_k, e_k = exp(-xi_k) and s = z - 1."""
+    c0, c1, c2 = (a + _horner(xi_k, b) * e_k for a, b in _TAYLOR_POLYNOMIALS[m])
+    return c0 + c1 * s / 2.0 + c2 * s**2 / 6.0
+
+
+def _closed_form(m, xi_k, e_k, e1_k, xi_k1, z):
+    """c_tau_closed from the prev-level terms e_k = exp(-xi_k), e1_k = E1(xi_k) and z = xi_k1/xi_k."""
+    num = np.log(np.abs(z)) + exp_integral_e1(xi_k1) - e1_k
+    r = ORDER_POLYNOMIALS[m].r
+    if r.size:
+        num = num + e_k * (np.exp(-(xi_k1 - xi_k)) - 1.0) * _horner(xi_k, r)
+    out = num / (z - 1.0)
+    if r.size > 1:
+        out = out + xi_k * _divided_difference(r, xi_k, xi_k1) * np.exp(-xi_k1)
+    return out
+
+
+def _c_tau(m, xi_k, e_k, e1_k, xi_k1, eps):
+    """c_tau on arrays of pairs from the prev-level terms; e1_k None computes E1(xi_k) where needed.
+
+    Taylor where |z - 1| <= eps, the closed form elsewhere.
+    """
+    z = xi_k1 / xi_k
+    near = np.abs(z - 1.0) <= eps
+
+    def closed(sel):
+        xi = xi_k[sel]
+        return _closed_form(m, xi, e_k[sel], exp_integral_e1(xi) if e1_k is None else e1_k[sel], xi_k1[sel], z[sel])
+
+    if near.all():
+        return _taylor_form(m, xi_k, e_k, z - 1.0)
+    if not near.any():
+        return closed(slice(None))
+    out = np.empty_like(z)
+    out[near] = _taylor_form(m, xi_k[near], e_k[near], z[near] - 1.0)
+    out[~near] = closed(~near)
+    return out
+
+
 def c_tau_taylor(m, xi_k, z):
     """Taylor expansion of the divided-difference factor in s = z - 1.
 
@@ -89,11 +134,7 @@ def c_tau_taylor(m, xi_k, z):
     """
     _check_order(m)
     xi_k = np.asarray(xi_k, dtype=float)
-    s = np.asarray(z, dtype=float) - 1.0
-    e = np.exp(-xi_k)
-    c0, c1, c2 = (a + _horner(xi_k, b) * e for a, b in _TAYLOR_POLYNOMIALS[m])
-    del e  # one array fewer alive in the sum below, which sets the peak on large blocks
-    return c0 + c1 * s / 2.0 + c2 * s**2 / 6.0
+    return _taylor_form(m, xi_k, np.exp(-xi_k), np.asarray(z, dtype=float) - 1.0)
 
 
 def c_tau_closed(m, xi_k, xi_k1):
@@ -107,40 +148,88 @@ def c_tau_closed(m, xi_k, xi_k1):
     _check_order(m)
     xi_k = np.asarray(xi_k, dtype=float)
     xi_k1 = np.asarray(xi_k1, dtype=float)
-    z = xi_k1 / xi_k
-    num = np.log(np.abs(z)) + exp_integral_e1(xi_k1) - exp_integral_e1(xi_k)
-    r = ORDER_POLYNOMIALS[m].r
-    if r.size:
-        num = num + np.exp(-xi_k) * (np.exp(-(xi_k1 - xi_k)) - 1.0) * _horner(xi_k, r)
-    out = num / (z - 1.0)
-    if r.size > 1:
-        out = out + xi_k * _divided_difference(r, xi_k, xi_k1) * np.exp(-xi_k1)
-    return out
+    return _closed_form(m, xi_k, np.exp(-xi_k), exp_integral_e1(xi_k), xi_k1, xi_k1 / xi_k)
 
 
 def c_tau(m, xi_k, xi_k1, params=DEFAULT_CTAU):
     """Divided-difference cutoff factor between two time levels (vectorized).
 
-    Requires xi = (r/delta)^2 > 0 at both levels.  Uses the closed form
-    when |xi_k1/xi_k - 1| exceeds the switch threshold, the truncated
-    Taylor expansion otherwise.
+    Requires xi = (r/delta)^2 > 0 at both levels, as E1 does, and raises
+    DomainError otherwise.  Uses the closed form when |xi_k1/xi_k - 1|
+    exceeds the switch threshold, the truncated Taylor expansion otherwise.
     """
+    _check_order(m)
     xi_k = np.asarray(xi_k, dtype=float)
     xi_k1 = np.asarray(xi_k1, dtype=float)
     if np.any(xi_k <= 0.0) or np.any(xi_k1 <= 0.0):
-        raise PairDegeneracyError(-1, -1, "coincident vortices at one of the time levels")
+        raise DomainError("c_tau requires positive separations at both time levels")
     scalar = xi_k.ndim == 0 and xi_k1.ndim == 0
-    xi_k, xi_k1 = np.atleast_1d(xi_k), np.atleast_1d(xi_k1)
-    xi_k, xi_k1 = np.broadcast_arrays(xi_k, xi_k1)
-    z = xi_k1 / xi_k
-    out = np.empty_like(z)
-    near = np.abs(z - 1.0) <= params.epsilon_switch
-    if np.any(near):
-        out[near] = c_tau_taylor(m, xi_k[near], z[near])
-    far = ~near
-    if np.any(far):
-        out[far] = c_tau_closed(m, xi_k[far], xi_k1[far])
+    xi_k, xi_k1 = np.broadcast_arrays(np.atleast_1d(xi_k), np.atleast_1d(xi_k1))
+    out = _c_tau(m, xi_k, np.exp(-xi_k), None, xi_k1, params.epsilon_switch)
     return float(out[0]) if scalar else out
+
+
+# One chunk of the prev level: pairs i < j at nonzero distance, their
+# differences dx, dy, r2 and xi, and e = exp(-xi), e1 = E1(xi).
+_PrevPairs = namedtuple("_PrevPairs", "i j dx dy r2 xi e e1")
+
+
+def _prev_pairs(system, prev, i, j):
+    """The prev level of the pairs (i, j), less those at zero distance."""
+    dx, dy, r2 = pair_differences(system, prev, i, j)
+    if not r2.all():  # coincident zero-strength vortices: no weight
+        keep = r2 > 0.0
+        i, j, dx, dy, r2 = i[keep], j[keep], dx[keep], dy[keep], r2[keep]
+    xi = r2 / system.delta**2
+    return _PrevPairs(i, j, dx, dy, r2, xi, np.exp(-xi), exp_integral_e1(xi))
+
+
+class PrevLevel:
+    """The prev level of one conservative step, built once and evaluated per iterate.
+
+    Holds the prev-level differences, xi_k, exp(-xi_k) and E1(xi_k) of the
+    pair triangle i < j, chunk by chunk.  At most _BLOCK_ELEMS pairs are
+    held (64 bytes each), which bounds the memory at large M; the chunks
+    past them are rebuilt on each evaluation.
+    """
+
+    def __init__(self, system, prev, params=DEFAULT_CTAU):
+        self.system, self.prev, self.eps = system, prev, params.epsilon_switch
+        self.held, self.rest = [], system.size
+        budget = model._BLOCK_ELEMS
+        for i, j in triangle_blocks(system.size):
+            if i.size > budget:
+                self.rest = int(i[0])
+                break
+            budget -= i.size
+            self.held.append(_prev_pairs(system, prev, i, j))
+
+    def _chunks(self):
+        yield from self.held
+        for i, j in triangle_blocks(self.system.size, self.rest):
+            yield _prev_pairs(self.system, self.prev, i, j)
+
+    def field(self, cand):
+        """f_tau(prev, cand): midpoint differences weighted by c_tau / r2_k, each pair scattered to i and j."""
+        system = self.system
+        n = system.size
+        scale = system.kappa / (2.0 * np.pi)
+        d2 = system.delta**2
+        xdot = np.zeros(n)
+        ydot = np.zeros(n)
+        for p in self._chunks():
+            dx, dy, r2 = pair_differences(system, cand, p.i, p.j)
+            if not r2.all():  # coincident zero-strength vortices: no weight
+                keep = r2 > 0.0
+                p = _PrevPairs(*(a[keep] for a in p))
+                dx, dy, r2 = dx[keep], dy[keep], r2[keep]
+            w = 0.5 * _c_tau(system.m, p.xi, p.e, p.e1, r2 / d2, self.eps) / p.r2
+            wx = w * (dx + p.dx)
+            wy = w * (dy + p.dy)
+            si, sj = scale[p.i], scale[p.j]
+            xdot += np.bincount(p.j, wy * si, n) - np.bincount(p.i, wy * sj, n)
+            ydot += np.bincount(p.i, wx * sj, n) - np.bincount(p.j, wx * si, n)
+        return xdot, ydot
 
 
 def dmm_rhs(system, prev, cand, params=DEFAULT_CTAU):
@@ -148,19 +237,10 @@ def dmm_rhs(system, prev, cand, params=DEFAULT_CTAU):
 
     The pair weight c_tau / r2^k replaces C(r2)/r2 of the continuous rhs,
     to which this reduces when cand == prev.  Pairs at zero distance on
-    either level (the diagonal, coincident zero-strength vortices) get no
-    weight.
+    either level (coincident zero-strength vortices) get no weight.  The
+    one-call form of PrevLevel(system, prev, params).field(cand).
     """
-    xdot = np.empty(system.size)
-    ydot = np.empty(system.size)
-    scale = system.kappa / (2.0 * np.pi)
-    d2 = system.delta**2
-    for (sl, dxk, dyk, r2k), (_, dx1, dy1, r21) in zip(pair_blocks(system, prev), pair_blocks(system, cand)):
-        off = (r2k > 0.0) & (r21 > 0.0)
-        weight = np.zeros_like(r2k)
-        weight[off] = c_tau(system.m, r2k[off] / d2, r21[off] / d2, params) / r2k[off]
-        xdot[sl], ydot[sl] = velocity_rows(weight, 0.5 * (dx1 + dxk), 0.5 * (dy1 + dyk), scale)
-    return xdot, ydot
+    return PrevLevel(system, prev, params).field(cand)
 
 
 def dmm_residual(system, prev, cand, tau, params=DEFAULT_CTAU):

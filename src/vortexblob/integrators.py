@@ -4,8 +4,9 @@ Explicit methods: classical RK4 (also the predictor for the implicit
 schemes) and Ralston's minimal-truncation-error 2nd and 4th order
 methods, all run by one stepper from their Butcher tableaux.  Implicit
 methods: the implicit midpoint method and the conservative scheme, whose
-discrete vector field is :func:`vortexblob.conservative.dmm_rhs`; both
-are solved by one fixed-point driver from an RK4 predictor.
+discrete vector field f_tau is evaluated from a
+:class:`vortexblob.conservative.PrevLevel` built once per step; both are
+solved by one fixed-point driver from an RK4 predictor.
 """
 
 from __future__ import annotations
@@ -125,12 +126,11 @@ def rm4_step(system, state, tau):
     return _explicit_rk_step(_RM4, system, state, tau)
 
 
-def _fixed_point(system, state, tau, solver, field_at):
-    """Solve x = state + tau * field_at(x, y) by Picard iteration from the RK4 predictor.
+def _fixed_point(state, tau, solver, guess, field_at):
+    """Solve x = state + tau * field_at(x, y) by Picard iteration from the predictor guess.
 
     Converged when the max-norm update is <= solver.threshold(state).
     """
-    guess = rk4_step(system, state, tau)
     u0 = np.array((state.x, state.y))
     u = np.array((guess.x, guess.y))
     threshold = solver.threshold(state)
@@ -152,20 +152,23 @@ def imm_step(system, state, tau, solver=DEFAULT_SOLVER):
     Preserves the quadratic invariants (linear and angular impulse) to
     solver tolerance; the Hamiltonian is only approximately conserved.
     """
+    guess = rk4_step(system, state, tau)
     return _fixed_point(
-        system, state, tau, solver, lambda x, y: rhs(system, State(x=0.5 * (state.x + x), y=0.5 * (state.y + y)))
+        state, tau, solver, guess, lambda x, y: rhs(system, State(x=0.5 * (state.x + x), y=0.5 * (state.y + y)))
     )
 
 
 def dmm_step(system, state, tau, params=conservative.DEFAULT_CTAU, solver=DEFAULT_SOLVER):
     """One conservative step by Picard iteration from an RK4 predictor.
 
-    Raises SolverFailureError if the max-norm position update does not
-    drop below solver.tol within solver.max_iters iterations.
+    The prev level's pair terms are built once, after the predictor, whose
+    temporaries are then freed; each iteration evaluates f_tau at the cand
+    level only.  Raises SolverFailureError if the max-norm position update
+    does not drop below solver.tol within solver.max_iters iterations.
     """
-    return _fixed_point(
-        system, state, tau, solver, lambda x, y: conservative.dmm_rhs(system, state, State(x=x, y=y), params)
-    )
+    guess = rk4_step(system, state, tau)
+    level = conservative.PrevLevel(system, state, params)
+    return _fixed_point(state, tau, solver, guess, lambda x, y: level.field(State(x=x, y=y)))
 
 
 # Method name -> (step function name in this module, keyword arguments it takes).

@@ -10,10 +10,13 @@ exp(-r2/delta^2)`` is the smoothing cutoff of order m in {2, 4, 6}.
 The flow conserves the linear impulses, the angular impulse, and a
 Hamiltonian built from log and exponential-integral terms.
 
-Every O(M^2) sum of the package, here and in the conservative scheme, runs
-over one blocked pair traversal, ``pair_blocks``, which also owns the check
-for coincident strength-bearing vortices.  The multiplier of the
-conservation laws is built from a vector field by ``multiplier``.
+Every O(M^2) sum of the package runs over one of two traversals here,
+both of which check for coincident strength-bearing vortices: the row
+blocks of points x vortices, ``pair_blocks``, for the fields, ``rhs`` and
+``conserved``; and the chunked vortex-pair triangle i < j,
+``triangle_blocks`` with ``pair_differences``, for the conservative
+scheme.  The multiplier of the conservation laws is built from a vector
+field by ``multiplier``.
 """
 
 from __future__ import annotations
@@ -181,6 +184,40 @@ def pair_blocks(system, state, points=None):
                 bi, j = np.argwhere(bad)[0]
                 raise PairDegeneracyError(sl.start + bi, j)
         yield sl, dx, dy, r2
+
+
+def triangle_blocks(n, start=0):
+    """The pair triangle i < j of n points, rows from start on: yield (i, j) index arrays.
+
+    A chunk covers whole rows and at most _BLOCK_ELEMS // 4 pairs, or one
+    row if that row alone holds more.
+    """
+    budget = max(1, _BLOCK_ELEMS // 4)
+    while start < n - 1:
+        counts = np.arange(n - 1 - start, 0, -1)  # pairs in rows start, ..., n - 2
+        rows = max(1, int(np.searchsorted(np.cumsum(counts), budget, side="right")))
+        counts = counts[:rows]
+        first = np.arange(start, start + rows)
+        i = np.repeat(first, counts)
+        j = np.arange(i.size) + np.repeat(first + 1 - (np.cumsum(counts) - counts), counts)
+        yield i, j
+        start += rows
+
+
+def pair_differences(system, state, i, j):
+    """dx, dy and r2 of the vortex pairs (i, j), the triangle's counterpart of pair_blocks.
+
+    A strength-bearing pair at zero distance raises PairDegeneracyError.
+    """
+    dx = state.x[i] - state.x[j]
+    dy = state.y[i] - state.y[j]
+    r2 = dx * dx + dy * dy
+    if not r2.all():
+        live = system.kappa != 0.0
+        bad = np.flatnonzero((r2 == 0.0) & live[i] & live[j])
+        if bad.size:
+            raise PairDegeneracyError(i[bad[0]], j[bad[0]])
+    return dx, dy, r2
 
 
 def velocity_rows(weight, dx, dy, scale):

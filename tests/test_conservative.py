@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vortexblob.conservative
+import vortexblob.model
 from vortexblob.conservative import (
+    DEFAULT_CTAU,
     CTauParams,
     c_tau,
     c_tau_closed,
@@ -14,8 +17,9 @@ from vortexblob.conservative import (
     dmm_residual,
     dmm_rhs,
 )
-from vortexblob.errors import PairDegeneracyError, SolverFailureError
-from vortexblob.integrators import SolverConfig, dmm_step, integrate
+from vortexblob.errors import DomainError, PairDegeneracyError, SolverFailureError
+from vortexblob.expint import exp_integral_e1
+from vortexblob.integrators import DEFAULT_SOLVER, SolverConfig, _fixed_point, dmm_step, integrate, rk4_step
 from vortexblob.model import BlobSystem, State, conserved, cutoff, rhs
 
 
@@ -79,9 +83,10 @@ class TestCTau:
             assert gaps[0] > gaps[1] > gaps[2]
 
     def test_negative_separation_rejected(self):
-        with pytest.raises(PairDegeneracyError):
+        # the same contract as E1 on the same input: no fake pair indices
+        with pytest.raises(DomainError):
             c_tau(2, 0.0, 1.0)
-        with pytest.raises(PairDegeneracyError):
+        with pytest.raises(DomainError):
             c_tau(4, 1.0, -0.5)
 
     def test_vectorized_matches_scalar(self):
@@ -135,6 +140,80 @@ class TestDiscreteRhs:
         scale = max(1.0, np.abs(conserved(system, prev).as_array()).max() / 0.25)
         assert res1 <= 1e-11 * scale
         assert res2 <= 1e-11
+
+
+def dense_f_tau(system, prev, cand, params):
+    """f_tau as the plain M x M sum: c_tau / r2_k * kappa_j / 2 pi times the midpoint differences."""
+    n = system.size
+    fx, fy = np.zeros(n), np.zeros(n)
+    d2 = system.delta**2
+    for i in range(n):
+        for j in range(n):
+            dxk, dyk = prev.x[i] - prev.x[j], prev.y[i] - prev.y[j]
+            dx1, dy1 = cand.x[i] - cand.x[j], cand.y[i] - cand.y[j]
+            r2k, r21 = dxk**2 + dyk**2, dx1**2 + dy1**2
+            if r2k == 0.0 or r21 == 0.0:
+                continue
+            w = c_tau(system.m, r2k / d2, r21 / d2, params) / r2k * system.kappa[j] / (2.0 * np.pi)
+            fx[i] -= w * 0.5 * (dy1 + dyk)
+            fy[i] += w * 0.5 * (dx1 + dxk)
+    return fx, fy
+
+
+class TestDenseReference:
+    @staticmethod
+    def states(m, n):
+        """Vortices 0, 2, 4, ... move rigidly (Taylor pairs among them), the others
+        also move apart (closed-form pairs); for n >= 3, zero-strength vortex 1
+        sits on vortex 2 at both levels."""
+        rng = np.random.default_rng(100 * m + n)
+        kappa = rng.uniform(-1.0, 1.0, n)
+        x, y = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+        cx, cy = x + 0.03, y - 0.02
+        cx[1::2] += 0.05 * rng.uniform(-1.0, 1.0, n // 2)
+        cy[1::2] += 0.05 * rng.uniform(-1.0, 1.0, n // 2)
+        if n >= 3:
+            kappa[1] = 0.0
+            x[1], y[1], cx[1], cy[1] = x[2], y[2], cx[2], cy[2]
+        return BlobSystem(m=m, h=1.0, delta=0.6, kappa=kappa), State(x=x, y=y), State(x=cx, y=cy)
+
+    @pytest.mark.parametrize("block_elems", [None, 8])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_dmm_rhs_matches_dense_sum(self, m, n, block_elems, monkeypatch):
+        system, prev, cand = self.states(m, n)
+        want = np.concatenate(dense_f_tau(system, prev, cand, DEFAULT_CTAU))
+        if block_elems is not None:  # 2-pair chunks: at n = 7 the first row held, the rest rebuilt
+            monkeypatch.setattr(vortexblob.model, "_BLOCK_ELEMS", block_elems)
+
+        def e1_positive(x):
+            assert np.all(np.asarray(x) > 0.0)
+            return exp_integral_e1(x)
+
+        monkeypatch.setattr(vortexblob.conservative, "exp_integral_e1", e1_positive)
+        got = np.concatenate(dmm_rhs(system, prev, cand))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(initial=0.0)
+        if n == 7:  # both branches of c_tau are taken
+            i, j = np.triu_indices(n, 1)
+            keep = (i != 1) | (j != 2)  # not the coincident pair
+            i, j = i[keep], j[keep]
+            z = ((cand.x[i] - cand.x[j]) ** 2 + (cand.y[i] - cand.y[j]) ** 2) / (
+                (prev.x[i] - prev.x[j]) ** 2 + (prev.y[i] - prev.y[j]) ** 2)
+            near = np.abs(z - 1.0) <= DEFAULT_CTAU.epsilon_switch
+            assert near.any() and not near.all()
+
+    def test_step_is_fixed_point_of_one_call_form(self):
+        # the stepping path and dmm_rhs run one code: bitwise the same step
+        rng = np.random.default_rng(23)
+        for m in (2, 4, 6):
+            system, prev, _ = random_pair(rng, 7, m=m)
+            out = dmm_step(system, prev, 0.3)
+            ref = _fixed_point(prev, 0.3, DEFAULT_SOLVER, rk4_step(system, prev, 0.3),
+                               lambda x, y: dmm_rhs(system, prev, State(x=x, y=y)))
+            assert np.array_equal(out.next.x, ref.next.x)
+            assert np.array_equal(out.next.y, ref.next.y)
+            assert out.iterations == ref.iterations
 
 
 class TestStep:
