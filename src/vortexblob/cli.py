@@ -165,7 +165,14 @@ def _write_order_tables(args, x_name, points_of):
     return EXIT_OK
 
 
+def _check_positive(flag, *taus):
+    """A step size of zero or less has no step count for a fixed end time."""
+    if not all(tau > 0.0 for tau in taus):
+        raise ConfigurationError(f"{flag} must be positive")
+
+
 def cmd_temporal_order(args):
+    _check_positive("--taus", *args.taus)
     solver = _solver_from_args(args)
 
     def points_of(m):
@@ -181,6 +188,7 @@ def cmd_temporal_order(args):
 
 
 def cmd_spatial_order(args):
+    _check_positive("--tau", args.tau)
     solver = _solver_from_args(args)
     n_steps = max(1, int(round(args.t_final / args.tau)))
 

@@ -20,8 +20,9 @@ multiplier is model's ``multiplier`` built from f_tau.
 
 The divided-difference factor ``c_tau`` is singular-looking when the two
 pair separations agree; a truncated Taylor expansion in (z - 1), with
-z the squared-separation ratio, is substituted when |z - 1| is below a
-small switch threshold.
+z the squared-separation ratio, is substituted when |z - 1| is at most
+the one switch threshold, ``DEFAULT_CTAU.epsilon_switch``, read at each
+call.
 """
 
 from __future__ import annotations
@@ -40,7 +41,10 @@ from .model import ORDER_POLYNOMIALS, _check_order, conserved, multiplier, pair_
 
 @dataclass(frozen=True)
 class CTauParams:
-    """Switch parameter for the divided-difference cutoff factor."""
+    """Switch parameter for the divided-difference cutoff factor.
+
+    c_tau reads the one instance DEFAULT_CTAU at each call.
+    """
 
     epsilon_switch: float = 1e-4
 
@@ -105,13 +109,13 @@ def _closed_form(m, xi_k, e_k, e1_k, xi_k1, z):
     return out
 
 
-def _c_tau(m, xi_k, e_k, e1_k, xi_k1, eps):
+def _c_tau(m, xi_k, e_k, e1_k, xi_k1):
     """c_tau on arrays of pairs from the prev-level terms; e1_k None computes E1(xi_k) where needed.
 
-    Taylor where |z - 1| <= eps, the closed form elsewhere.
+    Taylor where |z - 1| <= DEFAULT_CTAU.epsilon_switch, the closed form elsewhere.
     """
     z = xi_k1 / xi_k
-    near = np.abs(z - 1.0) <= eps
+    near = np.abs(z - 1.0) <= DEFAULT_CTAU.epsilon_switch
 
     def closed(sel):
         xi = xi_k[sel]
@@ -151,12 +155,13 @@ def c_tau_closed(m, xi_k, xi_k1):
     return _closed_form(m, xi_k, np.exp(-xi_k), exp_integral_e1(xi_k), xi_k1, xi_k1 / xi_k)
 
 
-def c_tau(m, xi_k, xi_k1, params=DEFAULT_CTAU):
+def c_tau(m, xi_k, xi_k1):
     """Divided-difference cutoff factor between two time levels (vectorized).
 
     Requires xi = (r/delta)^2 > 0 at both levels, as E1 does, and raises
     DomainError otherwise.  Uses the closed form when |xi_k1/xi_k - 1|
-    exceeds the switch threshold, the truncated Taylor expansion otherwise.
+    exceeds DEFAULT_CTAU.epsilon_switch, the truncated Taylor expansion
+    otherwise.
     """
     _check_order(m)
     xi_k = np.asarray(xi_k, dtype=float)
@@ -165,7 +170,7 @@ def c_tau(m, xi_k, xi_k1, params=DEFAULT_CTAU):
         raise DomainError("c_tau requires positive separations at both time levels")
     scalar = xi_k.ndim == 0 and xi_k1.ndim == 0
     xi_k, xi_k1 = np.broadcast_arrays(np.atleast_1d(xi_k), np.atleast_1d(xi_k1))
-    out = _c_tau(m, xi_k, np.exp(-xi_k), None, xi_k1, params.epsilon_switch)
+    out = _c_tau(m, xi_k, np.exp(-xi_k), None, xi_k1)
     return float(out[0]) if scalar else out
 
 
@@ -190,11 +195,12 @@ class PrevLevel:
     Holds the prev-level differences, xi_k, exp(-xi_k) and E1(xi_k) of the
     pair triangle i < j, chunk by chunk.  At most _BLOCK_ELEMS pairs are
     held (64 bytes each), which bounds the memory at large M; the chunks
-    past them are rebuilt on each evaluation.
+    past them are rebuilt on each evaluation.  Each evaluation reads the
+    c_tau switch, DEFAULT_CTAU.epsilon_switch, afresh.
     """
 
-    def __init__(self, system, prev, params=DEFAULT_CTAU):
-        self.system, self.prev, self.eps = system, prev, params.epsilon_switch
+    def __init__(self, system, prev):
+        self.system, self.prev = system, prev
         self.held, self.rest = [], system.size
         budget = model._BLOCK_ELEMS
         for i, j in triangle_blocks(system.size):
@@ -223,7 +229,7 @@ class PrevLevel:
                 keep = r2 > 0.0
                 p = _PrevPairs(*(a[keep] for a in p))
                 dx, dy, r2 = dx[keep], dy[keep], r2[keep]
-            w = 0.5 * _c_tau(system.m, p.xi, p.e, p.e1, r2 / d2, self.eps) / p.r2
+            w = 0.5 * _c_tau(system.m, p.xi, p.e, p.e1, r2 / d2) / p.r2
             wx = w * (dx + p.dx)
             wy = w * (dy + p.dy)
             si, sj = scale[p.i], scale[p.j]
@@ -232,46 +238,37 @@ class PrevLevel:
         return xdot, ydot
 
 
-def dmm_rhs(system, prev, cand, params=DEFAULT_CTAU):
+def dmm_rhs(system, prev, cand):
     """Discrete right-hand side built from midpoint averages and c_tau.
 
     The pair weight c_tau / r2^k replaces C(r2)/r2 of the continuous rhs,
     to which this reduces when cand == prev.  Pairs at zero distance on
     either level (coincident zero-strength vortices) get no weight.  The
-    one-call form of PrevLevel(system, prev, params).field(cand).
+    one-call form of PrevLevel(system, prev).field(cand).
     """
-    return PrevLevel(system, prev, params).field(cand)
+    return PrevLevel(system, prev).field(cand)
 
 
-def dmm_residual(system, prev, cand, tau, params=DEFAULT_CTAU):
+def dmm_residual(system, prev, cand, tau):
     """Residual of the conservative update: (cand - prev)/tau - f_tau."""
     if tau == 0.0:
-        raise ValueError("tau must be nonzero")
-    fx, fy = dmm_rhs(system, prev, cand, params)
+        raise ConfigurationError("tau must be nonzero")
+    fx, fy = dmm_rhs(system, prev, cand)
     rx = (cand.x - prev.x) / tau - fx
     ry = (cand.y - prev.y) / tau - fy
     return rx, ry
 
 
-def discrete_multiplier_matrix(system, prev, cand, params=DEFAULT_CTAU):
-    """Discrete multiplier: 4 x 2M matrix on a pair of states.
-
-    Built from f_tau at the midpoint of the two levels, as the continuous
-    multiplier is built from the ODE field at the state.  Assembled only in
-    verification paths.
-    """
-    f = dmm_rhs(system, prev, cand, params)
-    return multiplier(system.kappa, 0.5 * (cand.x + prev.x), 0.5 * (cand.y + prev.y), *f)
-
-
-def discrete_multiplier_residuals(system, prev, cand, tau, params=DEFAULT_CTAU):
+def discrete_multiplier_residuals(system, prev, cand, tau):
     """Max-norm residuals of the two discrete multiplier identities.
 
-    res1: Lambda_tau (cand - prev)/tau vs the divided difference of the
-    conserved quantities; res2: Lambda_tau f_tau.  Both vanish identically
-    for arbitrary state pairs, not just scheme solutions.
+    The discrete multiplier Lambda_tau is built from f_tau at the midpoint
+    of the two levels, as the continuous one is built from the ODE field at
+    the state.  res1: Lambda_tau (cand - prev)/tau vs the divided difference
+    of the conserved quantities; res2: Lambda_tau f_tau.  Both vanish
+    identically for arbitrary state pairs, not just scheme solutions.
     """
-    f = dmm_rhs(system, prev, cand, params)
+    f = dmm_rhs(system, prev, cand)
     lam = multiplier(system.kappa, 0.5 * (cand.x + prev.x), 0.5 * (cand.y + prev.y), *f)
     dx = np.concatenate([cand.x - prev.x, cand.y - prev.y]) / tau
     psi_prev = conserved(system, prev).as_array()

@@ -158,7 +158,7 @@ def imm_step(system, state, tau, solver=DEFAULT_SOLVER):
     )
 
 
-def dmm_step(system, state, tau, params=conservative.DEFAULT_CTAU, solver=DEFAULT_SOLVER):
+def dmm_step(system, state, tau, solver=DEFAULT_SOLVER):
     """One conservative step by Picard iteration from an RK4 predictor.
 
     The prev level's pair terms are built once, after the predictor, whose
@@ -167,28 +167,30 @@ def dmm_step(system, state, tau, params=conservative.DEFAULT_CTAU, solver=DEFAUL
     does not drop below solver.tol within solver.max_iters iterations.
     """
     guess = rk4_step(system, state, tau)
-    level = conservative.PrevLevel(system, state, params)
+    level = conservative.PrevLevel(system, state)
     return _fixed_point(state, tau, solver, guess, lambda x, y: level.field(State(x=x, y=y)))
 
 
-# Method name -> (step function name in this module, keyword arguments it takes).
+# Method name -> (step function name in this module, whether it takes the solver).
 _STEP_FUNCTIONS = {
-    "rk4": ("rk4_step", ()),
-    "rm2": ("rm2_step", ()),
-    "rm4": ("rm4_step", ()),
-    "imm": ("imm_step", ("solver",)),
-    "dmm": ("dmm_step", ("params", "solver")),
+    "rk4": ("rk4_step", False),
+    "rm2": ("rm2_step", False),
+    "rm4": ("rm4_step", False),
+    "imm": ("imm_step", True),
+    "dmm": ("dmm_step", True),
 }
 METHODS = tuple(_STEP_FUNCTIONS)
 
 
 @dataclass
 class RunRecord:
-    """Sampled trajectory, conserved quantities, and solver diagnostics."""
+    """Sample times, the conserved quantities at each sample, and solver diagnostics.
 
-    config: dict
+    ``iterations`` holds the Picard iteration count of each sampled step
+    of an implicit method; ``wall_time`` is the stepping time in seconds.
+    """
+
     times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
     conserved: list = field(default_factory=list)
     iterations: list = field(default_factory=list)
     wall_time: float = 0.0
@@ -204,23 +206,13 @@ class RunRecord:
         return self.drift().max(axis=1)
 
 
-def integrate(
-    system,
-    state,
-    tau,
-    n_steps,
-    method,
-    solver=DEFAULT_SOLVER,
-    ctau_params=conservative.DEFAULT_CTAU,
-    sample_stride=1,
-    keep_states=False,
-    observer=None,
-):
+def integrate(system, state, tau, n_steps, method, solver=DEFAULT_SOLVER, sample_stride=1):
     """Run n_steps of the chosen method, sampling every sample_stride steps.
 
-    The observer, if given, is called as observer(step_index, state) at
-    each sample.  Errors of a step or of its sample propagate with the
-    failing step index noted.
+    Returns (RunRecord, final state).  The initial state and the last step
+    are always sampled.  The implicit methods (imm, dmm) use solver.
+    Errors of a step or of its sample propagate with the failing step
+    index noted.
     """
     if method not in _STEP_FUNCTIONS:
         raise ConfigurationError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -229,42 +221,25 @@ def integrate(
     if not sample_stride >= 1:
         raise ConfigurationError("sample_stride must be >= 1")
 
-    record = RunRecord(
-        config={
-            "method": method,
-            "tau": tau,
-            "n_steps": n_steps,
-            "m": system.m,
-            "h": system.h,
-            "delta": system.delta,
-            "M": system.size,
-            "tol": solver.tol,
-            "max_iters": solver.max_iters,
-            "sample_stride": sample_stride,
-        }
-    )
+    record = RunRecord()
 
-    def sample(k, st, iters):
+    def sample(st, iters):
         record.times.append(st.t)
         record.conserved.append(conserved(system, st))
-        if keep_states:
-            record.states.append(st)
         if iters is not None:
             record.iterations.append(iters)
-        if observer is not None:
-            observer(k, st)
 
-    sample(0, state, None)
+    sample(state, None)
     start = time.perf_counter()
-    step_name, options = _STEP_FUNCTIONS[method]
+    step_name, takes_solver = _STEP_FUNCTIONS[method]
     step = globals()[step_name]  # by name at call time, so a replaced module attribute is used
-    kwargs = {name: {"solver": solver, "params": ctau_params}[name] for name in options}
+    kwargs = {"solver": solver} if takes_solver else {}
     for k in range(1, n_steps + 1):
         try:
             out = step(system, state, tau, **kwargs)
             state, iters = (out.next, out.iterations) if isinstance(out, StepOutcome) else (out, None)
             if k % sample_stride == 0 or k == n_steps:
-                sample(k, state, iters)
+                sample(state, iters)
         except VortexBlobError as exc:
             exc.step_index = k
             raise

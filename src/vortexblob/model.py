@@ -21,12 +21,13 @@ field by ``multiplier``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, PairDegeneracyError
+from .errors import ConfigurationError, DomainError, PairDegeneracyError
 from .expint import exp_integral_e1
 
 
@@ -102,7 +103,6 @@ class BlobSystem:
     h: float
     delta: float
     kappa: np.ndarray
-    q: float | None = None
 
     def __post_init__(self):
         _check_order(self.m)
@@ -288,7 +288,11 @@ def pair_potential(m, r2, delta):
 
 
 def conserved(system, state):
-    """Circulation, linear impulses, angular impulse, and Hamiltonian."""
+    """Circulation, linear impulses, angular impulse, and Hamiltonian.
+
+    Raises DomainError if any of them is not finite (an overflow of the
+    strengths' products or of the positions).
+    """
     kappa = system.kappa
     gamma = kappa.sum()
     px = float((kappa * state.y).sum())
@@ -302,7 +306,10 @@ def conserved(system, state):
         bi, j = np.nonzero(live[sl, None] & live[None, :] & (cols[None, :] > cols[sl, None]))
         v = pair_potential(system.m, r2[bi, j], system.delta)
         ham -= float((kappa[sl.start + bi] * kappa[j] * v).sum()) / (4.0 * np.pi)
-    return ConservedSet(gamma=float(gamma), px=px, py=py, ell=ell, ham=ham)
+    values = (float(gamma), px, py, ell, ham)
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"conserved quantities are not finite: {values}")
+    return ConservedSet(*values)
 
 
 def multiplier(kappa, x, y, u, v):
@@ -349,5 +356,5 @@ def init_grid(cells_per_side, p=3, q=0.75, m=4, prune_zero=False):
     if prune_zero:
         keep = kappa != 0.0
         x, y, kappa = x[keep], y[keep], kappa[keep]
-    system = BlobSystem(m=m, h=h, delta=h**q, kappa=kappa, q=q)
+    system = BlobSystem(m=m, h=h, delta=h**q, kappa=kappa)
     return system, State(x=x, y=y, t=0.0)

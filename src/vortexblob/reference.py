@@ -39,25 +39,23 @@ def exact_velocity(z, p=3):
     return out[0] if single else out
 
 
-def ring_angular_velocity(m, delta=1.0):
-    """Rotation rate of the 4-vortex ring configuration (kappa = 1/8)."""
-    return (cutoff(m, 1.0, delta) + 0.5 * cutoff(m, 2.0, delta)) / (8.0 * np.pi)
+def ring_angular_velocity(m):
+    """Rotation rate of the 4-vortex ring configuration (kappa = 1/8, delta = 1)."""
+    return (cutoff(m, 1.0, 1.0) + 0.5 * cutoff(m, 2.0, 1.0)) / (8.0 * np.pi)
 
 
-def four_vortex_exact(t, m, delta=1.0):
-    """Exact rigid rotation of four equal vortices on the circle R = 1/sqrt(2)."""
-    if not delta > 0:
-        raise ConfigurationError("delta must be positive")
+def four_vortex_exact(t, m):
+    """Exact rigid rotation of four equal vortices on the circle R = 1/sqrt(2), delta = 1."""
     R = 1.0 / np.sqrt(2.0)
-    alpha = ring_angular_velocity(m, delta)
+    alpha = ring_angular_velocity(m)
     angles = alpha * t + np.pi / 2.0 * np.arange(1, 5) - np.pi / 4.0
     return State(x=R * np.cos(angles), y=R * np.sin(angles), t=float(t))
 
 
-def four_vortex_ring(m, delta=1.0):
-    """System and t = 0 state for the 4-vortex temporal convergence study."""
-    system = BlobSystem(m=m, h=1.0, delta=delta, kappa=np.full(4, 0.125))
-    return system, four_vortex_exact(0.0, m, delta)
+def four_vortex_ring(m):
+    """System (h = delta = 1) and t = 0 state for the 4-vortex temporal convergence study."""
+    system = BlobSystem(m=m, h=1.0, delta=1.0, kappa=np.full(4, 0.125))
+    return system, four_vortex_exact(0.0, m)
 
 
 def temporal_error(numerical, exact):
@@ -118,19 +116,22 @@ class QuadratureRule:
         return float((self.r_weights * f(self.r_nodes)).sum())
 
 
-def spatial_error(system, state, p=3, rule=None, chunk=2048):
+# Quadrature points per velocity_field call in spatial_error.
+_SPATIAL_CHUNK = 2048
+
+
+def spatial_error(system, state, p=3):
     """L2 error of the smoothed velocity field against the exact rotation.
 
-    Integrates |v_h - v|^2 over the unit disk with the polar tensor rule.
+    Integrates |v_h - v|^2 over the unit disk with the default polar
+    tensor rule, QuadratureRule.polar().
     """
-    if rule is None:
-        rule = QuadratureRule.polar()
-    pts, w = rule.points_weights()
+    pts, w = QuadratureRule.polar().points_weights()
     total = 0.0
-    for start in range(0, pts.shape[0], chunk):
-        block = pts[start : start + chunk]
+    for start in range(0, pts.shape[0], _SPATIAL_CHUNK):
+        block = pts[start : start + _SPATIAL_CHUNK]
         diff = velocity_field(system, state, block) - exact_velocity(block, p)
-        total += float((w[start : start + chunk] * (diff**2).sum(axis=1)).sum())
+        total += float((w[start : start + _SPATIAL_CHUNK] * (diff**2).sum(axis=1)).sum())
     return float(np.sqrt(total))
 
 

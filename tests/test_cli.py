@@ -194,7 +194,9 @@ class TestExitCodes:
                      ["simulate", "--random-vortices", "0"],
                      ["timing", "--random-vortices", "0"],
                      ["e1-table", "--method", "dmm"],
-                     ["temporal-order", "--cells", "4"]):
+                     ["temporal-order", "--cells", "4"],
+                     ["temporal-order", "--taus", "0"],
+                     ["spatial-order", "--tau", "0"]):
             assert main(argv + out) == EXIT_USAGE, argv
 
     def test_solver_failure_exit(self, tmp_path):

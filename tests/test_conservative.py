@@ -65,14 +65,14 @@ class TestCTau:
             slope = np.polyfit(np.log(spans), np.log(diffs), 1)[0]
             assert slope == pytest.approx(3.0, abs=0.2)
 
-    def test_branch_switch_is_continuous(self):
+    def test_branch_switch_is_continuous(self, monkeypatch):
         # force each branch at the same argument by moving the switch point
-        force_taylor = CTauParams(epsilon_switch=2e-4)
-        force_closed = CTauParams(epsilon_switch=0.5e-4)
         z1 = 1.0 + 1e-4
         for m in (2, 4, 6):
-            taylor = c_tau(m, 1.0, z1, force_taylor)
-            closed = c_tau(m, 1.0, z1, force_closed)
+            monkeypatch.setattr(vortexblob.conservative, "DEFAULT_CTAU", CTauParams(epsilon_switch=2e-4))
+            taylor = c_tau(m, 1.0, z1)
+            monkeypatch.setattr(vortexblob.conservative, "DEFAULT_CTAU", CTauParams(epsilon_switch=0.5e-4))
+            closed = c_tau(m, 1.0, z1)
             assert taylor == pytest.approx(closed, rel=1e-10)
 
     def test_shrinking_step_contracts_toward_cutoff(self):
@@ -142,7 +142,7 @@ class TestDiscreteRhs:
         assert res2 <= 1e-11
 
 
-def dense_f_tau(system, prev, cand, params):
+def dense_f_tau(system, prev, cand):
     """f_tau as the plain M x M sum: c_tau / r2_k * kappa_j / 2 pi times the midpoint differences."""
     n = system.size
     fx, fy = np.zeros(n), np.zeros(n)
@@ -154,7 +154,7 @@ def dense_f_tau(system, prev, cand, params):
             r2k, r21 = dxk**2 + dyk**2, dx1**2 + dy1**2
             if r2k == 0.0 or r21 == 0.0:
                 continue
-            w = c_tau(system.m, r2k / d2, r21 / d2, params) / r2k * system.kappa[j] / (2.0 * np.pi)
+            w = c_tau(system.m, r2k / d2, r21 / d2) / r2k * system.kappa[j] / (2.0 * np.pi)
             fx[i] -= w * 0.5 * (dy1 + dyk)
             fy[i] += w * 0.5 * (dx1 + dxk)
     return fx, fy
@@ -182,7 +182,7 @@ class TestDenseReference:
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_dmm_rhs_matches_dense_sum(self, m, n, block_elems, monkeypatch):
         system, prev, cand = self.states(m, n)
-        want = np.concatenate(dense_f_tau(system, prev, cand, DEFAULT_CTAU))
+        want = np.concatenate(dense_f_tau(system, prev, cand))
         if block_elems is not None:  # 2-pair chunks: at n = 7 the first row held, the rest rebuilt
             monkeypatch.setattr(vortexblob.model, "_BLOCK_ELEMS", block_elems)
 

@@ -99,7 +99,6 @@ class TestDriver:
         system, state = four_vortex_ring(2)
         for method in METHODS:
             record, final = integrate(system, state, 0.25, 4, method)
-            assert record.config["method"] == method
             assert len(record.times) == 5
             assert final.t == pytest.approx(1.0)
             if method in ("imm", "dmm"):
@@ -154,15 +153,16 @@ class TestDriver:
 
     @staticmethod
     def blow_up_problem():
-        # velocities near 1e199 carried over tau = 1e120: positions overflow
-        system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=[1e200, -1e200, 1e200])
+        # velocities near 1e149 carried over tau = 1e200: positions overflow,
+        # while the strengths' products (1e300) keep the invariants finite
+        system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=[1e150, -1e150, 1e150])
         return system, State(x=[0.0, 0.5, -0.3], y=[0.1, -0.2, 0.4])
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("method", METHODS)
     def test_blow_up_is_solver_failure(self, method):
         with pytest.raises(SolverFailureError) as exc:
-            integrate(*self.blow_up_problem(), 1e120, 3, method)
+            integrate(*self.blow_up_problem(), 1e200, 3, method)
         assert exc.value.step_index == 1
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
@@ -171,16 +171,9 @@ class TestDriver:
         # a predictor that stays put leaves the overflow to the first iterate
         monkeypatch.setattr(vortexblob.integrators, "rk4_step", lambda system, state, tau: state)
         with pytest.raises(SolverFailureError) as exc:
-            integrate(*self.blow_up_problem(), 1e120, 3, method)
+            integrate(*self.blow_up_problem(), 1e200, 3, method)
         assert exc.value.step_index == 1
         assert exc.value.iterations == 1
-
-    def test_observer_called_at_samples(self):
-        system, state = four_vortex_ring(2)
-        seen = []
-        integrate(system, state, 0.1, 4, "rm2", sample_stride=2,
-                  observer=lambda k, st: seen.append(k))
-        assert seen == [0, 2, 4]
 
     def test_dmm_driver_conserves_ring_invariants(self):
         system, state = four_vortex_ring(6)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import vortexblob.model
 from vortexblob.conservative import dmm_rhs
-from vortexblob.errors import ConfigurationError, PairDegeneracyError
+from vortexblob.errors import ConfigurationError, DomainError, PairDegeneracyError
 from vortexblob.model import (
     ORDER_POLYNOMIALS,
     BlobSystem,
@@ -209,6 +209,17 @@ class TestConserved:
                     pair_potential(4, r2, 0.8)
                 ) / (4 * np.pi)
         assert conserved(system, state).ham == pytest.approx(direct, rel=1e-14)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_overflow_is_domain_error(self):
+        # the strengths' products (1e400) overflow: a DomainError, not ham = nan
+        system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=[1e200, -1e200, 1e200])
+        with pytest.raises(DomainError):
+            conserved(system, State(x=[0.0, 0.5, -0.3], y=[0.1, -0.2, 0.4]))
+        # an overflowed r2 raises the same error, through E1
+        system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=[1.0, 1.0])
+        with pytest.raises(DomainError):
+            conserved(system, State(x=[-1e200, 1e200], y=[0.0, 0.0]))
 
     def test_pair_potential_order_terms(self):
         xi = 0.9
