@@ -19,10 +19,15 @@ scatters each pair's antisymmetric contribution to both of its vortices.
 multiplier is model's ``multiplier`` built from f_tau.
 
 The divided-difference factor ``c_tau`` is singular-looking when the two
-pair separations agree; a truncated Taylor expansion in (z - 1), with
-z the squared-separation ratio, is substituted when |z - 1| is at most
-the one switch threshold, ``DEFAULT_CTAU.epsilon_switch``, read at each
-call.
+pair separations agree; a truncated Taylor expansion in s = z - 1, with
+z the squared-separation ratio, is substituted when |s| w(xi_k) is at
+most the one switch threshold, ``DEFAULT_CTAU.epsilon_switch``, read at
+each call, where w clips xi_k to [epsilon_switch, 1].  For xi_k < 1 the
+Taylor terms shrink like (xi_k s)^n, while the closed form loses about
+eps |log xi_k| / (xi_k |s|) to cancellation, so close pairs take the
+Taylor form over a wider band of s; the band stops at |s| = 1, past which
+the Taylor coefficients' own rounding, about eps s^2 / xi_k relative,
+would exceed the closed form's.
 """
 
 from __future__ import annotations
@@ -33,17 +38,26 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from . import model
 from .errors import ConfigurationError, DomainError
 from .expint import exp_integral_e1
-from .model import ORDER_POLYNOMIALS, _check_order, conserved, multiplier, pair_differences, triangle_blocks
+from .model import (
+    ORDER_POLYNOMIALS,
+    _check_order,
+    conserved,
+    drop_coincident,
+    multiplier,
+    pair_differences,
+    triangle_blocks,
+)
 
 
 @dataclass(frozen=True)
 class CTauParams:
     """Switch parameter for the divided-difference cutoff factor.
 
-    c_tau reads the one instance DEFAULT_CTAU at each call.
+    c_tau takes the Taylor form where |z - 1| clip(xi_k, epsilon_switch, 1)
+    <= epsilon_switch.
+    It reads the one instance DEFAULT_CTAU at each call.
     """
 
     epsilon_switch: float = 1e-4
@@ -102,7 +116,7 @@ def _closed_form(m, xi_k, e_k, e1_k, xi_k1, z):
     num = np.log(np.abs(z)) + exp_integral_e1(xi_k1) - e1_k
     r = ORDER_POLYNOMIALS[m].r
     if r.size:
-        num = num + e_k * (np.exp(-(xi_k1 - xi_k)) - 1.0) * _horner(xi_k, r)
+        num = num + e_k * np.expm1(-(xi_k1 - xi_k)) * _horner(xi_k, r)
     out = num / (z - 1.0)
     if r.size > 1:
         out = out + xi_k * _divided_difference(r, xi_k, xi_k1) * np.exp(-xi_k1)
@@ -112,10 +126,12 @@ def _closed_form(m, xi_k, e_k, e1_k, xi_k1, z):
 def _c_tau(m, xi_k, e_k, e1_k, xi_k1):
     """c_tau on arrays of pairs from the prev-level terms; e1_k None computes E1(xi_k) where needed.
 
-    Taylor where |z - 1| <= DEFAULT_CTAU.epsilon_switch, the closed form elsewhere.
+    Taylor where |z - 1| clip(xi_k, eps, 1) <= eps, eps = DEFAULT_CTAU.epsilon_switch,
+    the closed form elsewhere.
     """
     z = xi_k1 / xi_k
-    near = np.abs(z - 1.0) <= DEFAULT_CTAU.epsilon_switch
+    eps = DEFAULT_CTAU.epsilon_switch
+    near = np.abs(z - 1.0) * np.clip(xi_k, eps, 1.0) <= eps
 
     def closed(sel):
         xi = xi_k[sel]
@@ -159,9 +175,14 @@ def c_tau(m, xi_k, xi_k1):
     """Divided-difference cutoff factor between two time levels (vectorized).
 
     Requires xi = (r/delta)^2 > 0 at both levels, as E1 does, and raises
-    DomainError otherwise.  Uses the closed form when |xi_k1/xi_k - 1|
-    exceeds DEFAULT_CTAU.epsilon_switch, the truncated Taylor expansion
-    otherwise.
+    DomainError otherwise.  With eps = DEFAULT_CTAU.epsilon_switch, uses
+    the truncated Taylor expansion when |xi_k1/xi_k - 1| clip(xi_k, eps, 1)
+    is at most eps, the closed form otherwise: below xi_k = 1 the closed
+    form's log z cancels against E1(xi_k1) - E1(xi_k) and loses about
+    eps |log xi_k| / (xi_k |z - 1|), while the Taylor terms shrink like
+    (xi_k (z - 1))^n.  The Taylor band stops at |z - 1| = 1, where the
+    rounding of its coefficients, about eps (z - 1)^2 / xi_k relative,
+    catches up with the closed form's.
     """
     _check_order(m)
     xi_k = np.asarray(xi_k, dtype=float)
@@ -182,27 +203,29 @@ _PrevPairs = namedtuple("_PrevPairs", "i j dx dy r2 xi e e1")
 def _prev_pairs(system, prev, i, j):
     """The prev level of the pairs (i, j), less those at zero distance."""
     dx, dy, r2 = pair_differences(system, prev, i, j)
-    if not r2.all():  # coincident zero-strength vortices: no weight
-        keep = r2 > 0.0
-        i, j, dx, dy, r2 = i[keep], j[keep], dx[keep], dy[keep], r2[keep]
+    i, j, dx, dy, r2 = drop_coincident(r2, i, j, dx, dy, r2)
     xi = r2 / system.delta**2
     return _PrevPairs(i, j, dx, dy, r2, xi, np.exp(-xi), exp_integral_e1(xi))
+
+
+# Most prev-level pairs a PrevLevel holds, at 64 bytes each (256 MB).
+_HELD_PAIRS = 4_000_000
 
 
 class PrevLevel:
     """The prev level of one conservative step, built once and evaluated per iterate.
 
     Holds the prev-level differences, xi_k, exp(-xi_k) and E1(xi_k) of the
-    pair triangle i < j, chunk by chunk.  At most _BLOCK_ELEMS pairs are
-    held (64 bytes each), which bounds the memory at large M; the chunks
-    past them are rebuilt on each evaluation.  Each evaluation reads the
-    c_tau switch, DEFAULT_CTAU.epsilon_switch, afresh.
+    pair triangle i < j, in the triangle's tile-sized chunks.  At most
+    _HELD_PAIRS pairs are held (64 bytes each), which bounds the memory at
+    large M; the chunks past them are rebuilt on each evaluation.  Each
+    evaluation reads the c_tau switch, DEFAULT_CTAU.epsilon_switch, afresh.
     """
 
     def __init__(self, system, prev):
         self.system, self.prev = system, prev
         self.held, self.rest = [], system.size
-        budget = model._BLOCK_ELEMS
+        budget = _HELD_PAIRS
         for i, j in triangle_blocks(system.size):
             if i.size > budget:
                 self.rest = int(i[0])
@@ -225,10 +248,8 @@ class PrevLevel:
         ydot = np.zeros(n)
         for p in self._chunks():
             dx, dy, r2 = pair_differences(system, cand, p.i, p.j)
-            if not r2.all():  # coincident zero-strength vortices: no weight
-                keep = r2 > 0.0
-                p = _PrevPairs(*(a[keep] for a in p))
-                dx, dy, r2 = dx[keep], dy[keep], r2[keep]
+            *held, dx, dy, r2 = drop_coincident(r2, *p, dx, dy, r2)
+            p = _PrevPairs(*held)
             w = 0.5 * _c_tau(system.m, p.xi, p.e, p.e1, r2 / d2) / p.r2
             wx = w * (dx + p.dx)
             wy = w * (dy + p.dy)

@@ -8,7 +8,7 @@ import numpy as np
 from scipy import integrate as sp_integrate
 
 from .errors import ConfigurationError
-from .model import BlobSystem, State, cutoff, initial_vorticity, velocity_field
+from .model import BlobSystem, State, cutoff, velocity_field
 
 
 def exact_velocity(z, p=3):
@@ -116,10 +116,6 @@ class QuadratureRule:
         return float((self.r_weights * f(self.r_nodes)).sum())
 
 
-# Quadrature points per velocity_field call in spatial_error.
-_SPATIAL_CHUNK = 2048
-
-
 def spatial_error(system, state, p=3):
     """L2 error of the smoothed velocity field against the exact rotation.
 
@@ -127,12 +123,8 @@ def spatial_error(system, state, p=3):
     tensor rule, QuadratureRule.polar().
     """
     pts, w = QuadratureRule.polar().points_weights()
-    total = 0.0
-    for start in range(0, pts.shape[0], _SPATIAL_CHUNK):
-        block = pts[start : start + _SPATIAL_CHUNK]
-        diff = velocity_field(system, state, block) - exact_velocity(block, p)
-        total += float((w[start : start + _SPATIAL_CHUNK] * (diff**2).sum(axis=1)).sum())
-    return float(np.sqrt(total))
+    diff = velocity_field(system, state, pts) - exact_velocity(pts, p)
+    return float(np.sqrt((w * (diff**2).sum(axis=1)).sum()))
 
 
 def exact_conserved_integrals(p=3):

@@ -8,11 +8,9 @@ long random-system comparison (9).
 import time
 
 import numpy as np
-import pytest
 
 from vortexblob import (
     BlobSystem,
-    CTauParams,
     SolverConfig,
     State,
     c_tau_closed,

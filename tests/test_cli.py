@@ -6,13 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from vortexblob.cli import (
-    EXIT_DEGENERATE,
-    EXIT_OK,
-    EXIT_SOLVER,
-    EXIT_USAGE,
-    main,
-)
+from vortexblob.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
 
 
 def read_csv(path):

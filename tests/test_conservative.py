@@ -20,7 +20,7 @@ from vortexblob.conservative import (
 from vortexblob.errors import DomainError, PairDegeneracyError, SolverFailureError
 from vortexblob.expint import exp_integral_e1
 from vortexblob.integrators import DEFAULT_SOLVER, SolverConfig, _fixed_point, dmm_step, integrate, rk4_step
-from vortexblob.model import BlobSystem, State, conserved, cutoff, rhs
+from vortexblob.model import ORDER_POLYNOMIALS, BlobSystem, State, conserved, cutoff, rhs
 
 
 def random_pair(rng, n, m=2, delta=1.0, spread=0.05):
@@ -95,6 +95,37 @@ class TestCTau:
         out = c_tau(4, xi_k, xi_k1)
         for a, b, v in zip(xi_k, xi_k1, out):
             assert c_tau(4, float(a), float(b)) == v
+
+    def test_matches_mpmath_on_close_pairs(self):
+        # below xi_k = 1 the closed form's log z cancels against E1(xi_k1) - E1(xi_k)
+        # and loses about eps |log xi_k| / (xi_k |z - 1|): the switch must hand those
+        # pairs to the Taylor form.  |z - 1| and xi_k log-uniform on [1e-7, 0.1] x [1e-4, 40]
+        # within 2e-11.  Below xi_k = 1e-4 c_0 = 1 - Q exp(-xi_k) itself loses eps / xi_k,
+        # and the Taylor form loses about eps (z - 1)^2 / xi_k, so for |z - 1| > 1 the
+        # closed form must be taken: xi_k on [1e-7, 1e-4], z or 1/z - 1 on [1e-7, 1e3],
+        # within 2e-14 / (xi_k max(1, |z - 1|))
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(5)
+        with mpmath.workdps(40):
+            for m in (2, 4, 6):
+                r = [mpmath.mpf(float(c)) for c in ORDER_POLYNOMIALS[m].r[::-1]]
+
+                def relative_error(xi_k, xi_k1):  # against (V(b) - V(a)) / (b/a - 1), V the pair potential in xi
+                    want = []
+                    for a, b in zip(map(mpmath.mpf, xi_k), map(mpmath.mpf, xi_k1)):
+                        v = [mpmath.log(x) + mpmath.e1(x) + mpmath.polyval(r, x) * mpmath.exp(-x) for x in (a, b)]
+                        want.append(float((v[1] - v[0]) / ((b - a) / a)))
+                    return np.abs(c_tau(m, xi_k, xi_k1) / np.array(want) - 1.0)
+
+                xi_k = 10.0 ** rng.uniform(-4.0, np.log10(40.0), 300)
+                xi_k1 = xi_k * (1.0 + 10.0 ** rng.uniform(-7.0, -1.0, 300) * rng.choice([-1.0, 1.0], 300))
+                assert relative_error(xi_k, xi_k1).max() <= 2e-11
+
+                s = 10.0 ** rng.uniform(-7.0, 3.0, 300)
+                s = np.append(np.where(rng.random(300) < 0.5, s, -s / (1.0 + s)), 100.0)  # z or 1/z
+                xi_k = np.append(10.0 ** rng.uniform(-7.0, -4.0, 300), 1e-6)
+                bound = 2e-14 / (xi_k * np.maximum(1.0, np.abs(s)))
+                assert np.all(relative_error(xi_k, xi_k * (1.0 + s)) <= bound)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -177,14 +208,15 @@ class TestDenseReference:
             x[1], y[1], cx[1], cy[1] = x[2], y[2], cx[2], cy[2]
         return BlobSystem(m=m, h=1.0, delta=0.6, kappa=kappa), State(x=x, y=y), State(x=cx, y=cy)
 
-    @pytest.mark.parametrize("block_elems", [None, 8])
+    @pytest.mark.parametrize("held_pairs", [None, 8])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
     @pytest.mark.parametrize("m", [2, 4, 6])
-    def test_dmm_rhs_matches_dense_sum(self, m, n, block_elems, monkeypatch):
+    def test_dmm_rhs_matches_dense_sum(self, m, n, held_pairs, monkeypatch):
         system, prev, cand = self.states(m, n)
         want = np.concatenate(dense_f_tau(system, prev, cand))
-        if block_elems is not None:  # 2-pair chunks: at n = 7 the first row held, the rest rebuilt
-            monkeypatch.setattr(vortexblob.model, "_BLOCK_ELEMS", block_elems)
+        if held_pairs is not None:  # 2-pair tiles: at n = 7 the first row held, the rest rebuilt
+            monkeypatch.setattr(vortexblob.model, "_TILE", 2)
+            monkeypatch.setattr(vortexblob.conservative, "_HELD_PAIRS", held_pairs)
 
         def e1_positive(x):
             assert np.all(np.asarray(x) > 0.0)
@@ -198,9 +230,10 @@ class TestDenseReference:
             i, j = np.triu_indices(n, 1)
             keep = (i != 1) | (j != 2)  # not the coincident pair
             i, j = i[keep], j[keep]
-            z = ((cand.x[i] - cand.x[j]) ** 2 + (cand.y[i] - cand.y[j]) ** 2) / (
-                (prev.x[i] - prev.x[j]) ** 2 + (prev.y[i] - prev.y[j]) ** 2)
-            near = np.abs(z - 1.0) <= DEFAULT_CTAU.epsilon_switch
+            xi_k = ((prev.x[i] - prev.x[j]) ** 2 + (prev.y[i] - prev.y[j]) ** 2) / system.delta**2
+            z = ((cand.x[i] - cand.x[j]) ** 2 + (cand.y[i] - cand.y[j]) ** 2) / system.delta**2 / xi_k
+            eps = DEFAULT_CTAU.epsilon_switch
+            near = np.abs(z - 1.0) * np.clip(xi_k, eps, 1.0) <= eps
             assert near.any() and not near.all()
 
     def test_step_is_fixed_point_of_one_call_form(self):
@@ -241,6 +274,16 @@ class TestStep:
         assert 1 <= out.iterations <= 200
         assert out.residual <= 1e-12
         assert out.next.t == pytest.approx(prev.t + 0.1)
+
+    def test_close_pair_system_converges(self):
+        # at step 4 pair (0, 2) has xi_k = 2.9e-4 and z - 1 = 1.15e-4: the closed
+        # form's rounding there once stalled Picard at a 2e-12 residual
+        system = BlobSystem(m=2, h=1.0, delta=1.0,
+                            kappa=[-0.09674914553761482, -0.6767122056335211, -0.7254224177449942])
+        state = State(x=[-0.6775147281587124, -0.8031741697341204, -0.6674101743847132],
+                      y=[-0.4598076641559601, -0.28559474274516106, -0.47365347295999527])
+        record, _ = integrate(system, state, 1.0, 20, "dmm")
+        assert record.max_drift().max() <= 1e-11
 
     def test_solver_failure_carries_diagnostics(self):
         rng = np.random.default_rng(17)

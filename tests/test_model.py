@@ -231,7 +231,7 @@ class TestConserved:
 
 
 class TestRowBlocks:
-    """One-row blocks (a tiny element budget) against the one-block result."""
+    """One-entry tiles (one row per block, one pair per chunk) against the default tile."""
 
     @staticmethod
     def system_and_states():
@@ -260,7 +260,7 @@ class TestRowBlocks:
         system, prev, cand, pts = self.system_and_states()
         whole = self.outputs(system, prev, cand, pts)
         ham = conserved(system, prev).ham
-        monkeypatch.setattr(vortexblob.model, "_BLOCK_ELEMS", 1)
+        monkeypatch.setattr(vortexblob.model, "_TILE", 1)
         got = self.outputs(system, prev, cand, pts)
         for k in (0, 2, 3):  # rhs, velocity_field, blob_vorticity
             assert np.array_equal(got[k], whole[k])
@@ -268,8 +268,23 @@ class TestRowBlocks:
         assert got[1] == pytest.approx(whole[1], rel=1e-14, abs=0.0)
         assert conserved(system, prev).ham == pytest.approx(ham, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("tile", [None, 1])
+    def test_hamiltonian_matches_double_loop(self, tile, monkeypatch):
+        # the pair-triangle sum against every strength-bearing pair once
+        system, prev, _, _ = self.system_and_states()
+        if tile is not None:
+            monkeypatch.setattr(vortexblob.model, "_TILE", tile)
+        kappa, n = system.kappa, system.size
+        direct = 0.0
+        for i in range(n):
+            for j in range(i + 1, n):
+                if kappa[i] != 0.0 and kappa[j] != 0.0:
+                    r2 = (prev.x[i] - prev.x[j]) ** 2 + (prev.y[i] - prev.y[j]) ** 2
+                    direct -= kappa[i] * kappa[j] * float(pair_potential(system.m, r2, system.delta)) / (4 * np.pi)
+        assert conserved(system, prev).ham == pytest.approx(direct, rel=1e-14, abs=0.0)
+
     def test_coincident_pair_raises_with_global_indices(self, monkeypatch):
-        monkeypatch.setattr(vortexblob.model, "_BLOCK_ELEMS", 1)
+        monkeypatch.setattr(vortexblob.model, "_TILE", 1)
         system, prev, cand, _ = self.system_and_states()
         x, y = prev.x.copy(), prev.y.copy()
         x[5], y[5] = x[4], y[4]
