@@ -15,7 +15,8 @@ comma-separated text with a header row; floats are written in scientific
 notation with 17 significant digits so they round-trip losslessly.  Each
 run also writes a JSON manifest holding the subcommand's parsed flags
 plus the run's own results.  Exit codes: 0 success, 2 usage error,
-3 solver failure, 4 degeneracy / domain error.
+3 solver failure, 4 degeneracy (a coincident pair, "degeneracy error:") or
+domain error (a non-finite invariant, "domain error:").
 """
 
 from __future__ import annotations
@@ -248,9 +249,7 @@ def cmd_e1_table(args):
     worst = 0.0
     if args.count:
         xs = np.exp(np.linspace(np.log(args.x_min), np.log(args.x_max), args.count))
-        values = exp_integral_e1(xs)
-        values = np.atleast_1d(values)
-        for x, val in zip(xs, values):
+        for x, val in zip(xs, exp_integral_e1(xs)):
             if x > CUTOFF:
                 ref = 0.0
                 rel = 0.0 if val == 0.0 else np.inf
@@ -357,7 +356,8 @@ def main(argv=None):
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (PairDegeneracyError, DomainError) as exc:
-        print(f"degeneracy error: {exc}", file=sys.stderr)
+        kind = "degeneracy" if isinstance(exc, PairDegeneracyError) else "domain"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 
 

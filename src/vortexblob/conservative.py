@@ -19,15 +19,9 @@ scatters each pair's antisymmetric contribution to both of its vortices.
 multiplier is model's ``multiplier`` built from f_tau.
 
 The divided-difference factor ``c_tau`` is singular-looking when the two
-pair separations agree; a truncated Taylor expansion in s = z - 1, with
-z the squared-separation ratio, is substituted when |s| w(xi_k) is at
-most the one switch threshold, ``DEFAULT_CTAU.epsilon_switch``, read at
-each call, where w clips xi_k to [epsilon_switch, 1].  For xi_k < 1 the
-Taylor terms shrink like (xi_k s)^n, while the closed form loses about
-eps |log xi_k| / (xi_k |s|) to cancellation, so close pairs take the
-Taylor form over a wider band of s; the band stops at |s| = 1, past which
-the Taylor coefficients' own rounding, about eps s^2 / xi_k relative,
-would exceed the closed form's.
+pair separations agree; there it takes a truncated Taylor expansion in
+z - 1, z the squared-separation ratio, by the one switch that ``c_tau``'s
+docstring states with its error balance.
 """
 
 from __future__ import annotations
@@ -43,6 +37,7 @@ from .expint import exp_integral_e1
 from .model import (
     ORDER_POLYNOMIALS,
     _check_order,
+    _horner,
     conserved,
     drop_coincident,
     multiplier,
@@ -56,8 +51,7 @@ class CTauParams:
     """Switch parameter for the divided-difference cutoff factor.
 
     c_tau takes the Taylor form where |z - 1| clip(xi_k, epsilon_switch, 1)
-    <= epsilon_switch.
-    It reads the one instance DEFAULT_CTAU at each call.
+    <= epsilon_switch; it reads the one instance DEFAULT_CTAU at each call.
     """
 
     epsilon_switch: float = 1e-4
@@ -86,14 +80,6 @@ def _taylor_polynomials(q):
 
 
 _TAYLOR_POLYNOMIALS = {m: _taylor_polynomials(poly.q) for m, poly in ORDER_POLYNOMIALS.items()}
-
-
-def _horner(x, coef):
-    """coef[0] + coef[1] x + ...; unlike numpy's polyval, no x * 0 term or array conversion."""
-    out = coef[-1]
-    for c in coef[-2::-1]:
-        out = out * x + c
-    return out
 
 
 def _divided_difference(coef, a, b):

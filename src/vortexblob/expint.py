@@ -2,11 +2,17 @@
 
 Three regimes:
 
-* ``x <= 1``        -- convergent power series around 0,
+* ``x <= 1``        -- ``scipy.special.exp1``,
 * ``1 < x <= 34``   -- frozen Chebyshev fit of ``x * exp(x) * E1(x)``
                        in the variable ``log(x)``,
 * ``x > 34``        -- exactly zero (|E1| is below double resolution there).
 
+Per element on 1e5-element arrays, single-threaded, exp1 takes 70 ns
+below 1, where a 30-term series loop took 190 ns (and 130 us for a call
+on 1 element); but on (1, 34] it takes 390 ns against the table's 90 ns,
+and above 34 it takes 130 ns against 2 ns for the zero.  Of the pairs of
+the 316-, 812- and 3228-vortex grids, 2.3%, 1.4% and 0.6% lie below 1 and
+59%, 35% and 14% on (1, 34], so the table and the zero stay.
 ``e1_reference`` provides an independent series / continued-fraction
 evaluation used by the test suite to validate ``exp_integral_e1``.
 """
@@ -14,12 +20,13 @@ evaluation used by the test suite to validate ``exp_integral_e1``.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import exp1
 
 from .errors import DomainError
 
 EULER_GAMMA = 0.5772156649015328606
 
-# Upper end of the power-series regime; the Chebyshev fit covers (1, CUTOFF].
+# Upper end of the exp1 regime; the Chebyshev fit covers (1, CUTOFF].
 SERIES_MAX = 1.0
 
 # Hard cutoff: |E1(x)| < 1e-16 for x > 34, below double-precision resolution
@@ -59,21 +66,8 @@ _CHEB_COEF = np.array([
 _LOG_HI = np.log(CUTOFF)
 
 
-def _series(x):
-    """E1 power series, valid for 0 < x <= 1 (vectorized)."""
-    x = np.asarray(x, dtype=float)
-    total = np.zeros_like(x)
-    term = np.ones_like(x)
-    # 30 terms: at x = 1 the tail is ~1/(31*31!) << eps
-    for l in range(1, 31):
-        term = term * (-x) / l
-        total += term / l
-    return -EULER_GAMMA - np.log(x) - total
-
-
 def _cheb(x):
     """Chebyshev reconstruction, valid for 1 <= x <= 34 (vectorized)."""
-    x = np.asarray(x, dtype=float)
     t = 2.0 * np.log(x) / _LOG_HI - 1.0
     g = np.polynomial.chebyshev.chebval(t, _CHEB_COEF)
     return np.exp(-x) / x * g
@@ -88,21 +82,19 @@ def exp_integral_e1(x):
     arr = np.asarray(x, dtype=float)
     if arr.size and (np.any(arr <= 0.0) or np.any(~np.isfinite(arr))):
         raise DomainError("E1 requires strictly positive finite arguments")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr)
+    out = np.zeros(arr.shape)
     small = arr <= SERIES_MAX
-    mid = (~small) & (arr <= CUTOFF)
-    if np.any(small):
-        out[small] = _series(arr[small])
-    if np.any(mid):
+    mid = ~small & (arr <= CUTOFF)
+    if small.any():
+        out[small] = exp1(arr[small])
+    if mid.any():
         out[mid] = _cheb(arr[mid])
     # x > 34 stays exactly zero
-    return float(out[0]) if scalar else out
+    return float(out) if out.ndim == 0 else out
 
 
 def e1_reference(x):
-    """Independent E1 oracle: series for x <= 1, Lentz continued fraction above.
+    """Independent E1 oracle: series for x <= 1, continued fraction above.
 
     Scalar only; meant for test-side validation, not the stepping hot path.
     """

@@ -164,7 +164,8 @@ def dmm_step(system, state, tau, solver=DEFAULT_SOLVER):
     The prev level's pair terms are built once, after the predictor, whose
     temporaries are then freed; each iteration evaluates f_tau at the cand
     level only.  Raises SolverFailureError if the max-norm position update
-    does not drop below solver.tol within solver.max_iters iterations.
+    does not drop to solver.threshold(state), tol times the position scale
+    max(1, |x|, |y|), within solver.max_iters iterations.
     """
     guess = rk4_step(system, state, tau)
     level = conservative.PrevLevel(system, state)

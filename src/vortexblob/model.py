@@ -58,16 +58,24 @@ def _check_order(m):
         raise ConfigurationError(f"unsupported method order m={m}; expected one of {SUPPORTED_ORDERS}")
 
 
+def _horner(x, coef):
+    """coef[0] + coef[1] x + ...; no x * 0 term, so a one-term polynomial gives the bare coefficient."""
+    out = coef[-1]
+    for c in coef[-2::-1]:
+        out = out * x + c
+    return out
+
+
 def q_polynomial(m, r):
-    """Q polynomial of order m evaluated at r >= 0."""
+    """Q polynomial of order m evaluated at r >= 0, shaped like r."""
     _check_order(m)
-    return np.polynomial.polynomial.polyval(np.asarray(r, dtype=float), ORDER_POLYNOMIALS[m].q)
+    return _horner(np.asarray(r, dtype=float), ORDER_POLYNOMIALS[m].q) + np.zeros(np.shape(r))
 
 
 def p_polynomial(m, r):
-    """Vorticity-shape polynomial P of order m evaluated at r >= 0."""
+    """Vorticity-shape polynomial P of order m evaluated at r >= 0, shaped like r."""
     _check_order(m)
-    return np.polynomial.polynomial.polyval(np.asarray(r, dtype=float), ORDER_POLYNOMIALS[m].p)
+    return _horner(np.asarray(r, dtype=float), ORDER_POLYNOMIALS[m].p) + np.zeros(np.shape(r))
 
 
 def cutoff(m, r2, delta):
@@ -93,7 +101,7 @@ def cutoff_over_r2(m, r2, delta):
     out = np.divide(-np.expm1(minus_xi), xi, out=np.ones_like(xi), where=xi > 0)
     s = -ORDER_POLYNOMIALS[m].q[1:]
     if s.size:
-        out += np.polynomial.polynomial.polyval(xi, s) * np.exp(minus_xi)
+        out += _horner(xi, s) * np.exp(minus_xi)
     out /= delta**2
     return float(out) if out.ndim == 0 else out
 
@@ -162,13 +170,6 @@ class ConservedSet:
 _TILE = 65_536
 
 
-def row_blocks(n_rows, n_cols):
-    """Slices over rows of at most _TILE entries, or one row if it alone holds more."""
-    step = max(1, _TILE // max(1, n_cols))
-    for start in range(0, n_rows, step):
-        yield slice(start, min(start + step, n_rows))
-
-
 def pair_blocks(system, state, points=None):
     """The one pair traversal: yield (rows, dx, dy, r2) over row blocks.
 
@@ -178,7 +179,9 @@ def pair_blocks(system, state, points=None):
     strength-bearing pair at zero distance raises PairDegeneracyError.
     """
     px, py = (state.x, state.y) if points is None else points
-    for sl in row_blocks(px.size, system.size):
+    step = max(1, _TILE // max(1, system.size))  # rows of at most _TILE entries, or one row if it holds more
+    for start in range(0, px.size, step):
+        sl = slice(start, min(start + step, px.size))
         dx = px[sl, None] - state.x[None, :]
         dy = py[sl, None] - state.y[None, :]
         r2 = dx * dx + dy * dy
@@ -237,13 +240,19 @@ def drop_coincident(r2, *arrays):
     return tuple(a[keep] for a in arrays)
 
 
-def velocity_rows(weight, dx, dy, scale):
-    """Velocity (u, v) of a row block from its pair weights and differences.
+def _velocities(system, state, points=None):
+    """Velocities (u, v) at the points (px, py), or at the vortices themselves without points.
 
-    u_i = -sum_j weight_ij scale_j dy_ij and v_i = sum_j weight_ij scale_j dx_ij.
+    u_i = -sum_j w_ij s_j dy_ij and v_i = sum_j w_ij s_j dx_ij over each row
+    block, with pair weight w = C(r2)/r2 and s = kappa / (2 pi).
     """
-    w = weight * scale[None, :]
-    return -(w * dy).sum(axis=1), (w * dx).sum(axis=1)
+    n = system.size if points is None else points[0].size
+    u, v = np.empty(n), np.empty(n)
+    scale = system.kappa / (2.0 * np.pi)
+    for sl, dx, dy, r2 in pair_blocks(system, state, points):
+        w = cutoff_over_r2(system.m, r2, system.delta) * scale[None, :]
+        u[sl], v[sl] = -(w * dy).sum(axis=1), (w * dx).sum(axis=1)
+    return u, v
 
 
 def rhs(system, state):
@@ -253,12 +262,7 @@ def rhs(system, state):
     so the velocities are finite and smooth for close (zero-strength)
     pairs; the self-term vanishes because dx = dy = 0 on the diagonal.
     """
-    xdot = np.empty(system.size)
-    ydot = np.empty(system.size)
-    scale = system.kappa / (2.0 * np.pi)
-    for sl, dx, dy, r2 in pair_blocks(system, state):
-        xdot[sl], ydot[sl] = velocity_rows(cutoff_over_r2(system.m, r2, system.delta), dx, dy, scale)
-    return xdot, ydot
+    return _velocities(system, state)
 
 
 def _points(z):
@@ -274,10 +278,7 @@ def velocity_field(system, state, z):
     has the same leading shape.
     """
     single, points = _points(z)
-    out = np.empty((points[0].size, 2))
-    scale = system.kappa / (2.0 * np.pi)
-    for sl, dx, dy, r2 in pair_blocks(system, state, points):
-        out[sl, 0], out[sl, 1] = velocity_rows(cutoff_over_r2(system.m, r2, system.delta), dx, dy, scale)
+    out = np.column_stack(_velocities(system, state, points))
     return out[0] if single else out
 
 
@@ -300,7 +301,7 @@ def pair_potential(m, r2, delta):
     v = np.log(np.abs(r2)) + exp_integral_e1(xi)
     r = ORDER_POLYNOMIALS[m].r
     if r.size:
-        v = v + np.polynomial.polynomial.polyval(xi, r) * np.exp(-xi)
+        v = v + _horner(xi, r) * np.exp(-xi)
     return v
 
 

@@ -16,7 +16,8 @@ def exact_velocity(z, p=3):
 
     Inside the unit disk v = (-y, x) (1 - (1 - r^2)^(p+1)) / (2 (p+1) r^2);
     outside, the circulation saturates and v = (-y, x) / (2 (p+1) r^2).
-    Finite at the origin via the series limit.
+    One branch-free amplitude -expm1((p+1) log1p(-r^2)) / r^2, within a few
+    ulps: log1p(-r^2) is taken as -inf for r >= 1, and the limit at r = 0 is p+1.
     """
     if p < 1:
         raise ConfigurationError("vorticity exponent p must be >= 1")
@@ -25,15 +26,8 @@ def exact_velocity(z, p=3):
     pts = np.atleast_2d(z)
     x, y = pts[:, 0], pts[:, 1]
     r2 = x * x + y * y
-    amp = np.empty_like(r2)
-    inside = r2 <= 1.0
-    # small-r2 series of (1 - (1-r2)^(p+1))/r2 to avoid 0/0
-    tiny = r2 < 1e-8
-    s = r2[tiny]
-    amp[tiny] = (p + 1) - (p + 1) * p / 2.0 * s + (p + 1) * p * (p - 1) / 6.0 * s**2
-    mid = inside & ~tiny
-    amp[mid] = (1.0 - (1.0 - r2[mid]) ** (p + 1)) / r2[mid]
-    amp[~inside] = 1.0 / r2[~inside]
+    log_rest = np.log1p(-r2, out=np.full_like(r2, -np.inf), where=r2 < 1.0)
+    amp = np.divide(-np.expm1((p + 1) * log_rest), r2, out=np.full_like(r2, p + 1.0), where=r2 > 0.0)
     amp /= 2.0 * (p + 1)
     out = np.column_stack([-y * amp, x * amp])
     return out[0] if single else out
@@ -67,12 +61,18 @@ def temporal_error(numerical, exact):
     )
 
 
+_RADIAL_PANELS = 16
+_RADIAL_ORDER = 8
+_ANGULAR_NODES = 64
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Tensor rule on the disk r <= r_max in polar coordinates.
 
-    Radial: composite Gauss-Legendre (8 nodes per panel, exact through
-    degree 15); angular: equispaced trapezoid, spectrally accurate for
+    Radial: composite Gauss-Legendre, _RADIAL_ORDER = 8 nodes on each of
+    _RADIAL_PANELS = 16 panels (exact through degree 15); angular:
+    _ANGULAR_NODES = 64 equispaced trapezoid nodes, spectrally accurate for
     periodic integrands.
     """
 
@@ -83,22 +83,15 @@ class QuadratureRule:
     r_max: float
 
     @classmethod
-    def polar(cls, r_max=1.0, radial_panels=16, radial_order=8, angular_nodes=64):
-        gx, gw = np.polynomial.legendre.leggauss(radial_order)
-        edges = np.linspace(0.0, r_max, radial_panels + 1)
-        r_nodes = []
-        r_weights = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            r_nodes.append(mid + half * gx)
-            r_weights.append(half * gw)
-        theta = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
-        tw = np.full(angular_nodes, 2.0 * np.pi / angular_nodes)
+    def polar(cls, r_max=1.0):
+        gx, gw = np.polynomial.legendre.leggauss(_RADIAL_ORDER)
+        edges = np.linspace(0.0, r_max, _RADIAL_PANELS + 1)
+        mid, half = 0.5 * (edges[:-1, None] + edges[1:, None]), 0.5 * (edges[1:, None] - edges[:-1, None])
         return cls(
-            r_nodes=np.concatenate(r_nodes),
-            r_weights=np.concatenate(r_weights),
-            theta_nodes=theta,
-            theta_weights=tw,
+            r_nodes=(mid + half * gx).ravel(),
+            r_weights=(half * gw).ravel(),
+            theta_nodes=2.0 * np.pi * np.arange(_ANGULAR_NODES) / _ANGULAR_NODES,
+            theta_weights=np.full(_ANGULAR_NODES, 2.0 * np.pi / _ANGULAR_NODES),
             r_max=float(r_max),
         )
 

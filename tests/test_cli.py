@@ -6,7 +6,9 @@ import os
 import numpy as np
 import pytest
 
-from vortexblob.cli import EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
+from vortexblob import cli
+from vortexblob.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
+from vortexblob.errors import DomainError, PairDegeneracyError
 
 
 def read_csv(path):
@@ -198,6 +200,19 @@ class TestExitCodes:
                      "--method", "dmm", "--tol", "1e-30", "--max-iters", "2",
                      "--out", str(tmp_path / "sf")])
         assert code == EXIT_SOLVER
+
+    @pytest.mark.parametrize("error, message", [
+        (PairDegeneracyError(0, 1), "degeneracy error:"),
+        (DomainError("conserved quantities are not finite"), "domain error:"),
+    ])
+    def test_degeneracy_and_domain_exit(self, error, message, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "integrate", fail)
+        assert main(["simulate", "--cells", "2", "--steps", "1",
+                     "--out", str(tmp_path / "bad")]) == EXIT_DEGENERATE == 4
+        assert capsys.readouterr().err.startswith(message)
 
     def test_success_exit_is_zero(self, tmp_path):
         assert main(["simulate", "--cells", "2", "--steps", "1",

@@ -41,6 +41,7 @@ def test_exactly_zero_above_cutoff():
 
 
 def test_continuous_across_regime_boundaries():
+    # SERIES_MAX is the seam between scipy's exp1 and the Chebyshev table
     for boundary in (SERIES_MAX, CUTOFF):
         below = exp_integral_e1(boundary * (1.0 - 1e-12))
         above = exp_integral_e1(boundary * (1.0 + 1e-12))

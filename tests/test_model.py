@@ -90,6 +90,15 @@ class TestKernels:
             assert cutoff_over_r2(m, 0.0, 1.0) == pytest.approx(limit)
             assert cutoff_over_r2(m, 0.0, 2.0) == pytest.approx(limit / 4.0)
 
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (0,)])
+    def test_array_input_gives_array_of_its_shape(self, m, shape):
+        # Q and P of m = 2 are constants, which the Horner evaluator returns bare
+        r2 = np.linspace(0.5, 3.0, int(np.prod(shape))).reshape(shape)
+        for out in (q_polynomial(m, r2), p_polynomial(m, r2), cutoff(m, r2, 1.3),
+                    cutoff_over_r2(m, r2, 1.3), pair_potential(m, r2, 1.3)):
+            assert isinstance(out, np.ndarray) and out.shape == shape
+
     def test_unsupported_order_rejected(self):
         with pytest.raises(ConfigurationError):
             cutoff(3, 1.0, 1.0)

@@ -46,6 +46,18 @@ class TestExactVelocity:
         speed = exact_velocity(np.array([r, 0.0]), p)[1]
         assert speed == pytest.approx(circ / (2 * np.pi * r), rel=1e-12)
 
+    @pytest.mark.parametrize("p", [3, 4, 15])
+    def test_matches_mpmath_inside_disk(self, p):
+        # (1 - (1 - r^2)^(p+1)) / (2 (p+1) r^2) times r at 40 digits, for r^2
+        # geometric on [1e-16, 1] and just above 1e-8
+        mpmath = pytest.importorskip("mpmath")
+        r2 = np.concatenate([[1e-16, 1.0000001e-8, 1.0], np.geomspace(1e-16, 1.0, 500)])
+        r = np.sqrt(r2)
+        speed = exact_velocity(np.column_stack([r, np.zeros_like(r)]), p)[:, 1]
+        with mpmath.workdps(40):
+            exact = [float(x * (1 - (1 - x * x) ** (p + 1)) / (2 * (p + 1) * x * x)) for x in map(mpmath.mpf, r)]
+        assert speed == pytest.approx(exact, rel=1e-15, abs=0.0)
+
     def test_invalid_exponent_rejected(self):
         with pytest.raises(ConfigurationError):
             exact_velocity(np.array([0.5, 0.5]), p=0)
