@@ -12,9 +12,10 @@ builds f_tau, its residual, and the discrete multiplier identities behind
 the conservation; :func:`vortexblob.integrators.dmm_step` solves the
 update.  ``PrevLevel`` builds the prev level once per step: over the
 chunked pair triangle i < j of :mod:`vortexblob.model`, which checks for
-coincident vortices, it holds each pair's differences, xi_k, exp(-xi_k)
-and E1(xi_k).  Each Picard iterate then forms only the cand level and
-scatters each pair's antisymmetric contribution to both of its vortices.
+coincident vortices, it holds each pair's differences and r2, exp(-xi_k),
+E1(xi_k) and the c_tau switch band.  Each Picard iterate then forms only
+the cand level and scatters each pair's antisymmetric contribution to
+both of its vortices.
 ``dmm_rhs`` is the one-call form (build, evaluate once).  The discrete
 multiplier is model's ``multiplier`` built from f_tau.
 
@@ -33,11 +34,10 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import ConfigurationError, DomainError
-from .expint import exp_integral_e1
+from .expint import _horner, exp_integral_e1
 from .model import (
     ORDER_POLYNOMIALS,
     _check_order,
-    _horner,
     conserved,
     drop_coincident,
     multiplier,
@@ -97,39 +97,42 @@ def _taylor_form(m, xi_k, e_k, s):
     return c0 + c1 * s / 2.0 + c2 * s**2 / 6.0
 
 
-def _closed_form(m, xi_k, e_k, e1_k, xi_k1, z):
-    """c_tau_closed from the prev-level terms e_k = exp(-xi_k), e1_k = E1(xi_k) and z = xi_k1/xi_k."""
+def _closed_form(m, xi_k, e_k, e1_k, xi_k1, z, s):
+    """c_tau_closed from the prev-level terms e_k = exp(-xi_k), e1_k = E1(xi_k), z = xi_k1/xi_k and s = z - 1."""
     num = np.log(np.abs(z)) + exp_integral_e1(xi_k1) - e1_k
     r = ORDER_POLYNOMIALS[m].r
     if r.size:
         num = num + e_k * np.expm1(-(xi_k1 - xi_k)) * _horner(xi_k, r)
-    out = num / (z - 1.0)
+    out = num / s
     if r.size > 1:
         out = out + xi_k * _divided_difference(r, xi_k, xi_k1) * np.exp(-xi_k1)
     return out
 
 
-def _c_tau(m, xi_k, e_k, e1_k, xi_k1):
-    """c_tau on arrays of pairs from the prev-level terms; e1_k None computes E1(xi_k) where needed.
+def _c_tau(m, xi_k, e_k, e1_k, band, xi_k1, eps):
+    """c_tau on arrays of pairs from the prev-level terms e_k = exp(-xi_k), e1_k = E1(xi_k) and band = clip(xi_k, eps, 1).
 
-    Taylor where |z - 1| clip(xi_k, eps, 1) <= eps, eps = DEFAULT_CTAU.epsilon_switch,
-    the closed form elsewhere.
+    Taylor where |z - 1| band <= eps, the closed form elsewhere; e1_k None
+    computes E1(xi_k) where the closed form is taken.  A chunk that mixes
+    the two takes the closed form on every pair, with s = 1 at the Taylor
+    pairs so that z = 1 never divides 0 by 0, and then the Taylor form on
+    the Taylor pairs alone, picked by index: that costs less than copying
+    the closed pairs out by boolean mask.
     """
     z = xi_k1 / xi_k
-    eps = DEFAULT_CTAU.epsilon_switch
-    near = np.abs(z - 1.0) * np.clip(xi_k, eps, 1.0) <= eps
-
-    def closed(sel):
-        xi = xi_k[sel]
-        return _closed_form(m, xi, e_k[sel], exp_integral_e1(xi) if e1_k is None else e1_k[sel], xi_k1[sel], z[sel])
-
+    s = z - 1.0
+    near = np.abs(s) * band <= eps
     if near.all():
-        return _taylor_form(m, xi_k, e_k, z - 1.0)
+        return _taylor_form(m, xi_k, e_k, s)
+    if e1_k is None:
+        e1_k = exp_integral_e1(xi_k)
     if not near.any():
-        return closed(slice(None))
-    out = np.empty_like(z)
-    out[near] = _taylor_form(m, xi_k[near], e_k[near], z[near] - 1.0)
-    out[~near] = closed(~near)
+        return _closed_form(m, xi_k, e_k, e1_k, xi_k1, z, s)
+    idx = np.flatnonzero(near)
+    s_near = s[idx]
+    s[idx] = 1.0
+    out = _closed_form(m, xi_k, e_k, e1_k, xi_k1, z, s)
+    out[idx] = _taylor_form(m, xi_k[idx], e_k[idx], s_near)
     return out
 
 
@@ -154,7 +157,8 @@ def c_tau_closed(m, xi_k, xi_k1):
     _check_order(m)
     xi_k = np.asarray(xi_k, dtype=float)
     xi_k1 = np.asarray(xi_k1, dtype=float)
-    return _closed_form(m, xi_k, np.exp(-xi_k), exp_integral_e1(xi_k), xi_k1, xi_k1 / xi_k)
+    z = xi_k1 / xi_k
+    return _closed_form(m, xi_k, np.exp(-xi_k), exp_integral_e1(xi_k), xi_k1, z, z - 1.0)
 
 
 def c_tau(m, xi_k, xi_k1):
@@ -177,21 +181,25 @@ def c_tau(m, xi_k, xi_k1):
         raise DomainError("c_tau requires positive separations at both time levels")
     scalar = xi_k.ndim == 0 and xi_k1.ndim == 0
     xi_k, xi_k1 = np.broadcast_arrays(np.atleast_1d(xi_k), np.atleast_1d(xi_k1))
-    out = _c_tau(m, xi_k, np.exp(-xi_k), None, xi_k1)
+    eps = DEFAULT_CTAU.epsilon_switch
+    out = _c_tau(m, xi_k, np.exp(-xi_k), None, np.clip(xi_k, eps, 1.0), xi_k1, eps)
     return float(out[0]) if scalar else out
 
 
 # One chunk of the prev level: pairs i < j at nonzero distance, their
-# differences dx, dy, r2 and xi, and e = exp(-xi), e1 = E1(xi).
-_PrevPairs = namedtuple("_PrevPairs", "i j dx dy r2 xi e e1")
+# differences dx, dy and r2, and, with xi = r2/delta^2, e = exp(-xi),
+# e1 = E1(xi) and the c_tau switch band clip(xi, eps, 1).
+_PrevPairs = namedtuple("_PrevPairs", "i j dx dy r2 e e1 band")
 
 
-def _prev_pairs(system, prev, i, j):
+def _prev_pairs(system, prev, i, j, eps):
     """The prev level of the pairs (i, j), less those at zero distance."""
-    dx, dy, r2 = pair_differences(system, prev, i, j)
-    i, j, dx, dy, r2 = drop_coincident(r2, i, j, dx, dy, r2)
+    dx, dy, r2, keep = pair_differences(system, prev.x, prev.y, i, j)
+    i, j, dx, dy, r2 = drop_coincident(keep, i, j, dx, dy, r2)
     xi = r2 / system.delta**2
-    return _PrevPairs(i, j, dx, dy, r2, xi, np.exp(-xi), exp_integral_e1(xi))
+    e, e1 = np.exp(-xi), exp_integral_e1(xi)
+    # The band takes xi's buffer: nothing reads xi after E1.
+    return _PrevPairs(i, j, dx, dy, r2, e, e1, np.clip(xi, eps, 1.0, out=xi))
 
 
 # Most prev-level pairs a PrevLevel holds, at 64 bytes each (256 MB).
@@ -201,15 +209,28 @@ _HELD_PAIRS = 4_000_000
 class PrevLevel:
     """The prev level of one conservative step, built once and evaluated per iterate.
 
-    Holds the prev-level differences, xi_k, exp(-xi_k) and E1(xi_k) of the
-    pair triangle i < j, in the triangle's tile-sized chunks.  At most
-    _HELD_PAIRS pairs are held (64 bytes each), which bounds the memory at
-    large M; the chunks past them are rebuilt on each evaluation.  Each
-    evaluation reads the c_tau switch, DEFAULT_CTAU.epsilon_switch, afresh.
+    Holds the prev-level differences and r2, exp(-xi_k), E1(xi_k) and the
+    c_tau switch band of the pair triangle i < j, in the triangle's
+    tile-sized chunks; xi_k = r2/delta^2 is formed again per iterate.  At
+    most _HELD_PAIRS pairs are held (64 bytes each), which bounds the memory
+    at large M; the chunks past them are rebuilt on each evaluation.  The
+    c_tau switch, DEFAULT_CTAU.epsilon_switch, is read once, when the level
+    is built.
+
+    Each held chunk is one block of 64 bytes a pair, its eight arrays rows
+    of the block, so it is allocated and freed in one piece.  Freeing a
+    block of a few MB raises glibc's mmap and trim thresholds to its size,
+    so the tile-sized temporaries of the iterates, the fields and later
+    levels reuse heap pages instead of being trimmed and faulted in again.
+    Held as separate arrays, a level left a grid20 dmm step about 20 000
+    page faults and an rhs call at M = 812 about 5900, which doubled its
+    time.
     """
 
     def __init__(self, system, prev):
         self.system, self.prev = system, prev
+        self.eps = DEFAULT_CTAU.epsilon_switch
+        self.scale = system.kappa / (2.0 * np.pi)
         self.held, self.rest = [], system.size
         budget = _HELD_PAIRS
         for i, j in triangle_blocks(system.size):
@@ -217,26 +238,30 @@ class PrevLevel:
                 self.rest = int(i[0])
                 break
             budget -= i.size
-            self.held.append(_prev_pairs(system, prev, i, j))
+            p = _prev_pairs(system, prev, i, j, self.eps)
+            block = np.empty((8, p.i.size))
+            views = [*block[:2].view(np.intp), *block[2:]]
+            for view, a in zip(views, p):
+                view[...] = a
+            self.held.append(_PrevPairs(*views))
 
     def _chunks(self):
         yield from self.held
         for i, j in triangle_blocks(self.system.size, self.rest):
-            yield _prev_pairs(self.system, self.prev, i, j)
+            yield _prev_pairs(self.system, self.prev, i, j, self.eps)
 
-    def field(self, cand):
-        """f_tau(prev, cand): midpoint differences weighted by c_tau / r2_k, each pair scattered to i and j."""
-        system = self.system
+    def field(self, x, y):
+        """f_tau(prev, cand) at the cand positions (x, y): midpoint differences weighted by c_tau / r2_k, each pair scattered to i and j."""
+        system, scale = self.system, self.scale
         n = system.size
-        scale = system.kappa / (2.0 * np.pi)
         d2 = system.delta**2
         xdot = np.zeros(n)
         ydot = np.zeros(n)
         for p in self._chunks():
-            dx, dy, r2 = pair_differences(system, cand, p.i, p.j)
-            *held, dx, dy, r2 = drop_coincident(r2, *p, dx, dy, r2)
+            dx, dy, r2, keep = pair_differences(system, x, y, p.i, p.j)
+            *held, dx, dy, r2 = drop_coincident(keep, *p, dx, dy, r2)
             p = _PrevPairs(*held)
-            w = 0.5 * _c_tau(system.m, p.xi, p.e, p.e1, r2 / d2) / p.r2
+            w = 0.5 * _c_tau(system.m, p.r2 / d2, p.e, p.e1, p.band, r2 / d2, self.eps) / p.r2
             wx = w * (dx + p.dx)
             wy = w * (dy + p.dy)
             si, sj = scale[p.i], scale[p.j]
@@ -253,7 +278,7 @@ def dmm_rhs(system, prev, cand):
     either level (coincident zero-strength vortices) get no weight.  The
     one-call form of PrevLevel(system, prev).field(cand).
     """
-    return PrevLevel(system, prev).field(cand)
+    return PrevLevel(system, prev).field(cand.x, cand.y)
 
 
 def dmm_residual(system, prev, cand, tau):

@@ -12,6 +12,7 @@ solved by one fixed-point driver from an RK4 predictor.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -138,7 +139,7 @@ def _fixed_point(state, tau, solver, guess, field_at):
     for iteration in range(1, solver.max_iters + 1):
         un = u0 + tau * np.array(field_at(u[0], u[1]))
         residual = float(np.abs(un - u).max(initial=0.0))
-        if not np.isfinite(residual):  # u is finite, so the new iterate is not
+        if not math.isfinite(residual):  # u is finite, so the new iterate is not
             raise SolverFailureError(iteration, residual, message=f"iterate {iteration} is not finite")
         u = un
         if residual <= threshold:
@@ -169,7 +170,7 @@ def dmm_step(system, state, tau, solver=DEFAULT_SOLVER):
     """
     guess = rk4_step(system, state, tau)
     level = conservative.PrevLevel(system, state)
-    return _fixed_point(state, tau, solver, guess, lambda x, y: level.field(State(x=x, y=y)))
+    return _fixed_point(state, tau, solver, guess, level.field)
 
 
 # Method name -> (step function name in this module, whether it takes the solver).

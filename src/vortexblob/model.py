@@ -19,7 +19,9 @@ vortex-pair triangle i < j, ``triangle_blocks`` with ``pair_differences``,
 for every sum over pairs (the Hamiltonian in ``conserved`` and the
 conservative scheme's f_tau), each of which leaves out the zero-distance
 pairs of a zero-strength vortex by ``drop_coincident``.  The multiplier of the conservation laws is
-built from a vector field by ``multiplier``.
+built from a vector field by ``multiplier``.  Every per-order polynomial
+is evaluated by :func:`vortexblob.expint._horner`, the package's one
+Horner, which E1's table also uses.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, PairDegeneracyError
-from .expint import exp_integral_e1
+from .expint import _horner, exp_integral_e1
 
 
 class OrderPolynomials(NamedTuple):
@@ -56,14 +58,6 @@ SUPPORTED_ORDERS = tuple(ORDER_POLYNOMIALS)
 def _check_order(m):
     if m not in SUPPORTED_ORDERS:
         raise ConfigurationError(f"unsupported method order m={m}; expected one of {SUPPORTED_ORDERS}")
-
-
-def _horner(x, coef):
-    """coef[0] + coef[1] x + ...; no x * 0 term, so a one-term polynomial gives the bare coefficient."""
-    out = coef[-1]
-    for c in coef[-2::-1]:
-        out = out * x + c
-    return out
 
 
 def q_polynomial(m, r):
@@ -203,40 +197,44 @@ def triangle_blocks(n, start=0):
     """
     while start < n - 1:
         counts = np.arange(n - 1 - start, 0, -1)  # pairs in rows start, ..., n - 2
-        rows = max(1, int(np.searchsorted(np.cumsum(counts), _TILE, side="right")))
-        counts = counts[:rows]
-        first = np.arange(start, start + rows)
-        i = np.repeat(first, counts)
-        j = np.arange(i.size) + np.repeat(first + 1 - (np.cumsum(counts) - counts), counts)
+        ends = np.cumsum(counts)
+        if ends[-1] > _TILE:
+            rows = max(1, int(np.searchsorted(ends, _TILE, side="right")))
+            counts, ends = counts[:rows], ends[:rows]
+        i = np.repeat(np.arange(start, start + counts.size), counts)
+        j = np.arange(i.size) + np.repeat(n - ends, counts)  # each row ends at column n - 1
         yield i, j
-        start += rows
+        start += counts.size
 
 
-def pair_differences(system, state, i, j):
-    """dx, dy and r2 of the vortex pairs (i, j), the triangle's counterpart of pair_blocks.
+def pair_differences(system, x, y, i, j):
+    """dx, dy, r2 and keep of the vortex pairs (i, j) at positions (x, y), the triangle's counterpart of pair_blocks.
 
-    A strength-bearing pair at zero distance raises PairDegeneracyError.
+    keep is None when no pair is at zero distance, else the mask r2 > 0 of
+    the pairs that drop_coincident keeps.  A strength-bearing pair at zero
+    distance raises PairDegeneracyError.
     """
-    dx = state.x[i] - state.x[j]
-    dy = state.y[i] - state.y[j]
+    dx = x[i] - x[j]
+    dy = y[i] - y[j]
     r2 = dx * dx + dy * dy
-    if not r2.all():
-        live = system.kappa != 0.0
-        bad = np.flatnonzero((r2 == 0.0) & live[i] & live[j])
-        if bad.size:
-            raise PairDegeneracyError(i[bad[0]], j[bad[0]])
-    return dx, dy, r2
-
-
-def drop_coincident(r2, *arrays):
-    """The arrays less their entries at r2 == 0, the pairs every pair sum leaves out.
-
-    pair_differences admits zero distance only between vortices of which
-    one has no strength, so such a pair carries no energy and no weight.
-    """
     if r2.all():
+        return dx, dy, r2, None
+    live = system.kappa != 0.0
+    bad = np.flatnonzero((r2 == 0.0) & live[i] & live[j])
+    if bad.size:
+        raise PairDegeneracyError(i[bad[0]], j[bad[0]])
+    return dx, dy, r2, r2 > 0.0
+
+
+def drop_coincident(keep, *arrays):
+    """The arrays less their entries at zero distance, the pairs every pair sum leaves out.
+
+    keep comes from pair_differences, which admits zero distance only
+    between vortices of which one has no strength, so such a pair carries no
+    energy and no weight.
+    """
+    if keep is None:
         return arrays
-    keep = r2 > 0.0
     return tuple(a[keep] for a in arrays)
 
 
@@ -318,8 +316,8 @@ def conserved(system, state):
     ell = float(-0.5 * (kappa * (state.x**2 + state.y**2)).sum())
     ham = 0.0
     for i, j in triangle_blocks(system.size):
-        _, _, r2 = pair_differences(system, state, i, j)
-        i, j, r2 = drop_coincident(r2, i, j, r2)
+        _, _, r2, keep = pair_differences(system, state.x, state.y, i, j)
+        i, j, r2 = drop_coincident(keep, i, j, r2)
         v = pair_potential(system.m, r2, system.delta)
         ham -= float((kappa[i] * kappa[j] * v).sum()) / (4.0 * np.pi)
     values = (float(gamma), px, py, ell, ham)

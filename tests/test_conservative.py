@@ -90,11 +90,19 @@ class TestCTau:
             c_tau(4, 1.0, -0.5)
 
     def test_vectorized_matches_scalar(self):
-        xi_k = np.array([0.5, 1.0, 2.0, 2.0])
-        xi_k1 = np.array([0.6, 1.0 + 1e-6, 1.9, 2.0])
-        out = c_tau(4, xi_k, xi_k1)
-        for a, b, v in zip(xi_k, xi_k1, out):
-            assert c_tau(4, float(a), float(b)) == v
+        # one array takes both branches: Taylor pairs, closed-form pairs, pairs
+        # with xi_k1 == xi_k exactly and close pairs below xi_k = 1e-4.  Each pair
+        # must get the bits it gets alone, and the closed form must not see the
+        # Taylor pairs' z = 1 (0 / 0 would warn, and warnings are errors here)
+        xi_k = np.array([0.5, 1.0, 2.0, 2.0, 5.0, 0.7, 40.0, 3e-5, 5e-6, 8e-5, 1.5, 30.0, 35.0])
+        xi_k1 = np.array([0.6, 1.0 + 1e-6, 1.9, 2.0, 3.0, 0.7, 40.0, 4.5e-5, 2.5e-5, 8e-5, 1.5 * (1.0 - 3e-5), 36.0, 33.0])
+        eps = DEFAULT_CTAU.epsilon_switch
+        near = np.abs(xi_k1 / xi_k - 1.0) * np.clip(xi_k, eps, 1.0) <= eps
+        assert 3 <= near.sum() <= xi_k.size - 3
+        for m in (2, 4, 6):
+            out = c_tau(m, xi_k, xi_k1)
+            assert np.all(np.isfinite(out))
+            assert np.array_equal(out, [c_tau(m, float(a), float(b)) for a, b in zip(xi_k, xi_k1)])
 
     def test_matches_mpmath_on_close_pairs(self):
         # below xi_k = 1 the closed form's log z cancels against E1(xi_k1) - E1(xi_k)

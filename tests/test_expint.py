@@ -65,6 +65,22 @@ def test_scalar_and_array_agree():
         assert exp_integral_e1(float(x)) == v
 
 
+def test_table_regime_is_size_independent_and_accurate():
+    # 1e5 log-uniform points on (1, 34]: every element gets the same bits
+    # from a call on 1, 3 or all of them, and each is within 2e-15 of mpmath
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    xs = np.exp(rng.uniform(np.log(SERIES_MAX), np.log(CUTOFF), 100_000))
+    xs = xs[xs > SERIES_MAX]
+    vals = exp_integral_e1(xs)
+    assert all(exp_integral_e1(float(x)) == v for x, v in zip(xs[:3000], vals[:3000]))
+    triples = np.concatenate([exp_integral_e1(xs[k:k + 3]) for k in range(0, 3000, 3)])
+    assert np.array_equal(triples, vals[:3000])
+    with mpmath.workdps(40):
+        refs = np.array([float(mpmath.e1(mpmath.mpf(float(x)))) for x in xs])
+    assert np.abs(vals / refs - 1.0).max() <= 2e-15
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=-27.5, max_value=3.526))
 def test_oracle_agreement_property(log_x):

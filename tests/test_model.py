@@ -23,6 +23,7 @@ from vortexblob.model import (
     pair_potential,
     q_polynomial,
     rhs,
+    triangle_blocks,
     velocity_field,
 )
 
@@ -308,6 +309,26 @@ class TestRowBlocks:
             with pytest.raises(PairDegeneracyError) as exc:
                 call()
             assert {exc.value.i, exc.value.j} == {4, 5}
+
+
+class TestTriangleBlocks:
+    @pytest.mark.parametrize("tile", [1, 2, 7, None])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 400])
+    def test_chunks_cover_the_triangle_in_whole_rows(self, n, tile, monkeypatch):
+        if tile is not None:
+            monkeypatch.setattr(vortexblob.model, "_TILE", tile)
+        limit = vortexblob.model._TILE
+        for start in sorted({0, 1, n // 2, max(n - 1, 0)}):
+            chunks = list(triangle_blocks(n, start))
+            pairs = [(a, b) for i, j in chunks for a, b in zip(i.tolist(), j.tolist())]
+            # every pair i < j of the rows from start on, once each, in row-major order
+            assert pairs == [(a, b) for a in range(start, n) for b in range(a + 1, n)]
+            for i, j in chunks:
+                rows = np.unique(i)
+                # whole rows: each row's pairs run from column i + 1 to n - 1
+                assert i.size == sum(n - 1 - r for r in rows)
+                assert rows.size == 1 or i.size <= limit  # over the tile only as one row
+                assert np.array_equal(i, np.sort(i)) and np.all(j > i)
 
 
 class TestGrid:
