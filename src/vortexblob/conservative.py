@@ -102,10 +102,13 @@ def _closed_form(m, xi_k, e_k, e1_k, xi_k1, z, s):
     num = np.log(np.abs(z)) + exp_integral_e1(xi_k1) - e1_k
     r = ORDER_POLYNOMIALS[m].r
     if r.size:
-        num = num + e_k * np.expm1(-(xi_k1 - xi_k)) * _horner(xi_k, r)
+        # e^-xi_k1 - e^-xi_k = e^-min(xi) expm1(-|xi_k1 - xi_k|), signed: no 0 * inf where xi falls by over ~709
+        e_k1 = np.exp(-xi_k1)
+        fall = xi_k - xi_k1
+        num = num + np.maximum(e_k, e_k1) * np.copysign(np.expm1(-np.abs(fall)), fall) * _horner(xi_k, r)
     out = num / s
     if r.size > 1:
-        out = out + xi_k * _divided_difference(r, xi_k, xi_k1) * np.exp(-xi_k1)
+        out = out + xi_k * _divided_difference(r, xi_k, xi_k1) * e_k1
     return out
 
 

@@ -1,12 +1,12 @@
 """One-step integrators and the trajectory driver.
 
-Explicit methods: classical RK4 (also the predictor for the implicit
-schemes) and Ralston's minimal-truncation-error 2nd and 4th order
-methods, all run by one stepper from their Butcher tableaux.  Implicit
-methods: the implicit midpoint method and the conservative scheme, whose
-discrete vector field f_tau is evaluated from a
-:class:`vortexblob.conservative.PrevLevel` built once per step; both are
-solved by one fixed-point driver from an RK4 predictor.
+Explicit methods: classical RK4 and Ralston's minimal-truncation-error
+2nd and 4th order methods, all run by one stepper from their Butcher
+tableaux.  Implicit methods: the implicit midpoint method and the
+conservative scheme, whose discrete vector field f_tau is evaluated from
+a :class:`vortexblob.conservative.PrevLevel` built once per step; one
+Picard driver solves both from the start state, its first iterate the
+explicit Euler step.
 """
 
 from __future__ import annotations
@@ -127,13 +127,12 @@ def rm4_step(system, state, tau):
     return _explicit_rk_step(_RM4, system, state, tau)
 
 
-def _fixed_point(state, tau, solver, guess, field_at):
-    """Solve x = state + tau * field_at(x, y) by Picard iteration from the predictor guess.
+def _fixed_point(state, tau, solver, field_at):
+    """Solve x = state + tau * field_at(x, y) by Picard iteration from x = state.
 
     Converged when the max-norm update is <= solver.threshold(state).
     """
-    u0 = np.array((state.x, state.y))
-    u = np.array((guess.x, guess.y))
+    u = u0 = np.array((state.x, state.y))
     threshold = solver.threshold(state)
     residual = np.inf
     for iteration in range(1, solver.max_iters + 1):
@@ -148,29 +147,25 @@ def _fixed_point(state, tau, solver, guess, field_at):
 
 
 def imm_step(system, state, tau, solver=DEFAULT_SOLVER):
-    """Implicit midpoint step solved by fixed point from an RK4 predictor.
+    """Implicit midpoint step solved by Picard iteration from the start state.
 
     Preserves the quadratic invariants (linear and angular impulse) to
     solver tolerance; the Hamiltonian is only approximately conserved.
     """
-    guess = rk4_step(system, state, tau)
     return _fixed_point(
-        state, tau, solver, guess, lambda x, y: rhs(system, State(x=0.5 * (state.x + x), y=0.5 * (state.y + y)))
+        state, tau, solver, lambda x, y: rhs(system, State(x=0.5 * (state.x + x), y=0.5 * (state.y + y)))
     )
 
 
 def dmm_step(system, state, tau, solver=DEFAULT_SOLVER):
-    """One conservative step by Picard iteration from an RK4 predictor.
+    """One conservative step by Picard iteration from the start state.
 
-    The prev level's pair terms are built once, after the predictor, whose
-    temporaries are then freed; each iteration evaluates f_tau at the cand
-    level only.  Raises SolverFailureError if the max-norm position update
-    does not drop to solver.threshold(state), tol times the position scale
-    max(1, |x|, |y|), within solver.max_iters iterations.
+    The prev level's pair terms are built once; each iteration evaluates f_tau
+    at the cand level only.  Raises SolverFailureError if the max-norm position
+    update does not drop to solver.threshold(state), tol times the position
+    scale max(1, |x|, |y|), within solver.max_iters iterations.
     """
-    guess = rk4_step(system, state, tau)
-    level = conservative.PrevLevel(system, state)
-    return _fixed_point(state, tau, solver, guess, level.field)
+    return _fixed_point(state, tau, solver, conservative.PrevLevel(system, state).field)
 
 
 # Method name -> (step function name in this module, whether it takes the solver).

@@ -52,6 +52,17 @@ class TestSimulate:
         bytes_b = open(os.path.join(out_b, "drift.csv"), "rb").read()
         assert bytes_a == bytes_b
 
+    def test_seedless_random_rerun_is_byte_identical(self, tmp_path):
+        # without --seed the random system is seed 0's, and the manifest says so
+        args = ["simulate", "--random-vortices", "3", "--steps", "2"]
+        out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert main(args + ["--out", out_a]) == EXIT_OK
+        assert main(args + ["--out", out_b]) == EXIT_OK
+        bytes_a = open(os.path.join(out_a, "drift.csv"), "rb").read()
+        bytes_b = open(os.path.join(out_b, "drift.csv"), "rb").read()
+        assert bytes_a == bytes_b
+        assert json.load(open(os.path.join(out_a, "manifest.json")))["seed"] == 0
+
     def test_methods_share_header_but_differ_in_drift(self, tmp_path):
         base = ["simulate", "--random-vortices", "3", "--seed", "7",
                 "--steps", "20", "--tau", "0.5"]
@@ -230,7 +241,7 @@ class TestManifest:
         "e1-table": "x_min x_max count out",
     }
     RESULTS = {"simulate": "M wall_time", "conservation": "M", "e1-table": "max_rel_error"}
-    DEFAULTS = {"timing": {"seed": 0, "random_vortices": 3}}
+    DEFAULTS = {"simulate": {"seed": 0}, "conservation": {"seed": 0}, "timing": {"seed": 0, "random_vortices": 3}}
     TOY_ARGS = {
         "simulate": ["--cells", "3", "--steps", "2"],
         "conservation": ["--cells", "3", "--steps", "2"],

@@ -19,7 +19,7 @@ from vortexblob.conservative import (
 )
 from vortexblob.errors import DomainError, PairDegeneracyError, SolverFailureError
 from vortexblob.expint import exp_integral_e1
-from vortexblob.integrators import DEFAULT_SOLVER, SolverConfig, _fixed_point, dmm_step, integrate, rk4_step
+from vortexblob.integrators import DEFAULT_SOLVER, SolverConfig, _fixed_point, dmm_step, integrate
 from vortexblob.model import ORDER_POLYNOMIALS, BlobSystem, State, conserved, cutoff, rhs
 
 
@@ -32,6 +32,17 @@ def random_pair(rng, n, m=2, delta=1.0, spread=0.05):
     cand = State(x=x + spread * rng.uniform(-1.0, 1.0, n),
                  y=y + spread * rng.uniform(-1.0, 1.0, n))
     return system, prev, cand
+
+
+def mpmath_c_tau(mpmath, m, xi_k, xi_k1):
+    """c_tau at 40 digits as (V(b) - V(a)) / (b/a - 1), V the pair potential in xi."""
+    with mpmath.workdps(40):
+        r = [mpmath.mpf(float(c)) for c in ORDER_POLYNOMIALS[m].r[::-1]]
+        want = []
+        for a, b in zip(map(mpmath.mpf, xi_k), map(mpmath.mpf, xi_k1)):
+            v = [mpmath.log(x) + mpmath.e1(x) + mpmath.polyval(r, x) * mpmath.exp(-x) for x in (a, b)]
+            want.append(float((v[1] - v[0]) / ((b - a) / a)))
+    return np.array(want)
 
 
 class TestCTau:
@@ -114,26 +125,26 @@ class TestCTau:
         # within 2e-14 / (xi_k max(1, |z - 1|))
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(5)
-        with mpmath.workdps(40):
-            for m in (2, 4, 6):
-                r = [mpmath.mpf(float(c)) for c in ORDER_POLYNOMIALS[m].r[::-1]]
+        for m in (2, 4, 6):
+            def relative_error(xi_k, xi_k1):
+                return np.abs(c_tau(m, xi_k, xi_k1) / mpmath_c_tau(mpmath, m, xi_k, xi_k1) - 1.0)
 
-                def relative_error(xi_k, xi_k1):  # against (V(b) - V(a)) / (b/a - 1), V the pair potential in xi
-                    want = []
-                    for a, b in zip(map(mpmath.mpf, xi_k), map(mpmath.mpf, xi_k1)):
-                        v = [mpmath.log(x) + mpmath.e1(x) + mpmath.polyval(r, x) * mpmath.exp(-x) for x in (a, b)]
-                        want.append(float((v[1] - v[0]) / ((b - a) / a)))
-                    return np.abs(c_tau(m, xi_k, xi_k1) / np.array(want) - 1.0)
+            xi_k = 10.0 ** rng.uniform(-4.0, np.log10(40.0), 300)
+            xi_k1 = xi_k * (1.0 + 10.0 ** rng.uniform(-7.0, -1.0, 300) * rng.choice([-1.0, 1.0], 300))
+            assert relative_error(xi_k, xi_k1).max() <= 2e-11
 
-                xi_k = 10.0 ** rng.uniform(-4.0, np.log10(40.0), 300)
-                xi_k1 = xi_k * (1.0 + 10.0 ** rng.uniform(-7.0, -1.0, 300) * rng.choice([-1.0, 1.0], 300))
-                assert relative_error(xi_k, xi_k1).max() <= 2e-11
+            s = 10.0 ** rng.uniform(-7.0, 3.0, 300)
+            s = np.append(np.where(rng.random(300) < 0.5, s, -s / (1.0 + s)), 100.0)  # z or 1/z
+            xi_k = np.append(10.0 ** rng.uniform(-7.0, -4.0, 300), 1e-6)
+            bound = 2e-14 / (xi_k * np.maximum(1.0, np.abs(s)))
+            assert np.all(relative_error(xi_k, xi_k * (1.0 + s)) <= bound)
 
-                s = 10.0 ** rng.uniform(-7.0, 3.0, 300)
-                s = np.append(np.where(rng.random(300) < 0.5, s, -s / (1.0 + s)), 100.0)  # z or 1/z
-                xi_k = np.append(10.0 ** rng.uniform(-7.0, -4.0, 300), 1e-6)
-                bound = 2e-14 / (xi_k * np.maximum(1.0, np.abs(s)))
-                assert np.all(relative_error(xi_k, xi_k * (1.0 + s)) <= bound)
+    @pytest.mark.parametrize("m, xi_k, xi_k1", [(4, 1000.0, 100.0), (6, 800.0, 50.0), (6, 760.0, 1.0), (4, 100.0, 1000.0)])
+    def test_large_drop_in_xi_stays_finite(self, m, xi_k, xi_k1):
+        # e^-xi_k underflows while e^(xi_k - xi_k1) overflows: the closed form must
+        # never multiply the two (RuntimeWarnings are errors in this suite)
+        mpmath = pytest.importorskip("mpmath")
+        assert c_tau(m, xi_k, xi_k1) == pytest.approx(mpmath_c_tau(mpmath, m, [xi_k], [xi_k1])[0], rel=1e-14)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -250,8 +261,7 @@ class TestDenseReference:
         for m in (2, 4, 6):
             system, prev, _ = random_pair(rng, 7, m=m)
             out = dmm_step(system, prev, 0.3)
-            ref = _fixed_point(prev, 0.3, DEFAULT_SOLVER, rk4_step(system, prev, 0.3),
-                               lambda x, y: dmm_rhs(system, prev, State(x=x, y=y)))
+            ref = _fixed_point(prev, 0.3, DEFAULT_SOLVER, lambda x, y: dmm_rhs(system, prev, State(x=x, y=y)))
             assert np.array_equal(out.next.x, ref.next.x)
             assert np.array_equal(out.next.y, ref.next.y)
             assert out.iterations == ref.iterations

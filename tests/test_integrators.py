@@ -8,13 +8,14 @@ from vortexblob.errors import ConfigurationError, DomainError, PairDegeneracyErr
 from vortexblob.integrators import (
     METHODS,
     SolverConfig,
+    dmm_step,
     imm_step,
     integrate,
     rk4_step,
     rm2_step,
     rm4_step,
 )
-from vortexblob.model import BlobSystem, State, conserved
+from vortexblob.model import BlobSystem, State, conserved, rhs
 from vortexblob.reference import (
     fit_order,
     four_vortex_exact,
@@ -164,16 +165,26 @@ class TestDriver:
         with pytest.raises(SolverFailureError) as exc:
             integrate(*self.blow_up_problem(), 1e200, 3, method)
         assert exc.value.step_index == 1
+        if method in ("imm", "dmm"):  # Picard starts at the finite start state: the first iterate overflows
+            assert exc.value.iterations == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
-    @pytest.mark.parametrize("method", ["imm", "dmm"])
-    def test_non_finite_iterate_is_solver_failure(self, method, monkeypatch):
-        # a predictor that stays put leaves the overflow to the first iterate
-        monkeypatch.setattr(vortexblob.integrators, "rk4_step", lambda system, state, tau: state)
-        with pytest.raises(SolverFailureError) as exc:
-            integrate(*self.blow_up_problem(), 1e200, 3, method)
-        assert exc.value.step_index == 1
-        assert exc.value.iterations == 1
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_first_iterate_is_euler_step(self, m):
+        rng = np.random.default_rng(m)
+        system = BlobSystem(m=m, h=1.0, delta=1.0, kappa=rng.uniform(-1.0, 1.0, 5))
+        state = State(x=rng.uniform(-1.0, 1.0, 5), y=rng.uniform(-1.0, 1.0, 5))
+        fx, fy = rhs(system, state)
+        euler_x, euler_y = state.x + 0.3 * fx, state.y + 0.3 * fy
+        one_iterate = SolverConfig(max_iters=1)
+        with pytest.raises(SolverFailureError) as imm:
+            imm_step(system, state, 0.3, solver=one_iterate)
+        assert np.array_equal(imm.value.last_state.x, euler_x)
+        assert np.array_equal(imm.value.last_state.y, euler_y)
+        # dmm's f_tau(state, state) is rhs summed over the pair triangle instead
+        with pytest.raises(SolverFailureError) as dmm:
+            dmm_step(system, state, 0.3, solver=one_iterate)
+        assert np.abs(dmm.value.last_state.x - euler_x).max() <= 1e-15
+        assert np.abs(dmm.value.last_state.y - euler_y).max() <= 1e-15
 
     def test_dmm_driver_conserves_ring_invariants(self):
         system, state = four_vortex_ring(6)
