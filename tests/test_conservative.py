@@ -146,6 +146,49 @@ class TestCTau:
         mpmath = pytest.importorskip("mpmath")
         assert c_tau(m, xi_k, xi_k1) == pytest.approx(mpmath_c_tau(mpmath, m, [xi_k], [xi_k1])[0], rel=1e-14)
 
+    def test_far_form_at_huge_xi(self):
+        # far pairs take log1p(s)/s: the Taylor form's xi_k^4 once overflowed against
+        # exp(-xi_k) = 0 here and gave NaN
+        xi_k, xi_k1 = 1e78, 1e78 * (1.0 + 1e-5)
+        s = (xi_k1 - xi_k) / xi_k
+        got = c_tau(6, xi_k, xi_k1)
+        assert np.isfinite(got)
+        assert got == np.log1p(s) / s
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_far_form_matches_mpmath(self, m):
+        # with both levels above xi_far the dropped part is below 2^-53 of log1p(s)/s
+        # (_far_threshold): xi_k log-uniform up to 700, s = +-10^U(-12, -0.3), xi_k1 > xi_far
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(40 + m)
+        xi_far = vortexblob.conservative._XI_FAR[m]
+        s = 10.0 ** rng.uniform(-12.0, -0.3, 300) * rng.choice([-1.0, 1.0], 300)
+        lo = xi_far * (1.0 + 1e-9) / np.minimum(1.0, 1.0 + s)
+        xi_k = lo * (700.0 / lo) ** rng.random(300)
+        xi_k1 = xi_k * (1.0 + s)
+        assert np.all(xi_k1 > xi_far)
+        got = c_tau(m, xi_k, xi_k1)
+        assert np.abs(got / mpmath_c_tau(mpmath, m, xi_k, xi_k1) - 1.0).max() <= 1e-15
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_far_pair_falling_to_threshold_takes_full_form(self, m, monkeypatch):
+        # a far pair whose xi_k1 falls to xi_far or just under goes back to the full
+        # c_tau, within the 2e-11 that the close-pair test allows the closed form
+        mpmath = pytest.importorskip("mpmath")
+        xi_far = vortexblob.conservative._XI_FAR[m]
+        xi_k = np.array([np.nextafter(xi_far, np.inf), xi_far * (1.0 + 1e-6), xi_far * 1.01, 60.0, 300.0, 700.0])
+        xi_k1 = xi_far * (1.0 - np.array([0.0, 1e-12, 1e-6, 1e-3, 1e-2, 1e-1]))
+        full, seen = vortexblob.conservative._c_tau, []
+
+        def spy(m, xi_k, e_k, e1_k, band, xi_k1, eps):
+            seen.extend(xi_k1)
+            return full(m, xi_k, e_k, e1_k, band, xi_k1, eps)
+
+        monkeypatch.setattr(vortexblob.conservative, "_c_tau", spy)
+        got = c_tau(m, xi_k, xi_k1)
+        assert sorted(seen) == sorted(xi_k1)
+        assert np.abs(got / mpmath_c_tau(mpmath, m, xi_k, xi_k1) - 1.0).max() <= 2e-11
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             CTauParams(epsilon_switch=0.0)
@@ -227,11 +270,28 @@ class TestDenseReference:
             x[1], y[1], cx[1], cy[1] = x[2], y[2], cx[2], cy[2]
         return BlobSystem(m=m, h=1.0, delta=0.6, kappa=kappa), State(x=x, y=y), State(x=cx, y=cy)
 
-    @pytest.mark.parametrize("held_pairs", [None, 8])
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
-    @pytest.mark.parametrize("m", [2, 4, 6])
-    def test_dmm_rhs_matches_dense_sum(self, m, n, held_pairs, monkeypatch):
-        system, prev, cand = self.states(m, n)
+    @staticmethod
+    def far_states(m, n):
+        """delta = 0.1 puts most pairs past xi_far (PrevLevel's far part).  For n >= 3,
+        zero-strength vortex 1 is far from vortex 2 at prev and on it at cand; for n = 7,
+        pair (3, 4) falls across xi_far between the levels and pair (5, 6) rises across it."""
+        delta = 0.1
+        rng = np.random.default_rng(200 * m + n)
+        kappa = rng.uniform(-1.0, 1.0, n)
+        x, y = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+        cx = x + 0.03 + 0.05 * rng.uniform(-1.0, 1.0, n)
+        cy = y - 0.02 + 0.05 * rng.uniform(-1.0, 1.0, n)
+        if n >= 3:
+            kappa[1] = 0.0
+            x[1], y[1], cx[1], cy[1] = x[2] + 1.5, y[2], cx[2], cy[2]
+        if n >= 7:
+            out, inside = delta * np.sqrt(vortexblob.conservative._XI_FAR[m] * np.array([1.1, 0.9]))
+            x[4], y[4], cx[4], cy[4] = x[3] + out, y[3], cx[3] + inside, cy[3]
+            x[6], y[6], cx[6], cy[6] = x[5] + inside, y[5], cx[5] + out, cy[5]
+        return BlobSystem(m=m, h=1.0, delta=delta, kappa=kappa), State(x=x, y=y), State(x=cx, y=cy)
+
+    @staticmethod
+    def check_against_dense(system, prev, cand, held_pairs, monkeypatch):
         want = np.concatenate(dense_f_tau(system, prev, cand))
         if held_pairs is not None:  # 2-pair tiles: at n = 7 the first row held, the rest rebuilt
             monkeypatch.setattr(vortexblob.model, "_TILE", 2)
@@ -245,15 +305,43 @@ class TestDenseReference:
         got = np.concatenate(dmm_rhs(system, prev, cand))
         assert got.shape == want.shape
         assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(initial=0.0)
+
+    @staticmethod
+    def xi_levels(system, prev, cand):
+        """xi at both levels of every pair i < j but the zero-strength vortex 1's pair with vortex 2."""
+        i, j = np.triu_indices(system.size, 1)
+        keep = (i != 1) | (j != 2)
+        i, j = i[keep], j[keep]
+        return [((s.x[i] - s.x[j]) ** 2 + (s.y[i] - s.y[j]) ** 2) / system.delta**2 for s in (prev, cand)]
+
+    @pytest.mark.parametrize("held_pairs", [None, 8])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_dmm_rhs_matches_dense_sum(self, m, n, held_pairs, monkeypatch):
+        system, prev, cand = self.states(m, n)
+        self.check_against_dense(system, prev, cand, held_pairs, monkeypatch)
         if n == 7:  # both branches of c_tau are taken
-            i, j = np.triu_indices(n, 1)
-            keep = (i != 1) | (j != 2)  # not the coincident pair
-            i, j = i[keep], j[keep]
-            xi_k = ((prev.x[i] - prev.x[j]) ** 2 + (prev.y[i] - prev.y[j]) ** 2) / system.delta**2
-            z = ((cand.x[i] - cand.x[j]) ** 2 + (cand.y[i] - cand.y[j]) ** 2) / system.delta**2 / xi_k
+            xi_k, xi_k1 = self.xi_levels(system, prev, cand)
             eps = DEFAULT_CTAU.epsilon_switch
-            near = np.abs(z - 1.0) * np.clip(xi_k, eps, 1.0) <= eps
+            near = np.abs(xi_k1 / xi_k - 1.0) * np.clip(xi_k, eps, 1.0) <= eps
             assert near.any() and not near.all()
+
+    @pytest.mark.parametrize("held_pairs", [None, 8])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_far_dmm_rhs_matches_dense_sum(self, m, n, held_pairs, monkeypatch):
+        # the near/far split, its row segments (one-pair parts at 2-pair tiles) and
+        # a coincident pair dropped inside a far part
+        system, prev, cand = self.far_states(m, n)
+        self.check_against_dense(system, prev, cand, held_pairs, monkeypatch)
+        if n == 7:
+            xi_k, xi_k1 = self.xi_levels(system, prev, cand)
+            xi_far = vortexblob.conservative._XI_FAR[m]
+            assert np.mean(xi_k > xi_far) >= 0.3
+            assert np.any((xi_k > xi_far) & (xi_k1 <= xi_far)) and np.any((xi_k <= xi_far) & (xi_k1 > xi_far))
+        if n >= 3:
+            assert (prev.x[1] - prev.x[2]) ** 2 / system.delta**2 > vortexblob.conservative._XI_FAR[m]
+            assert cand.x[1] == cand.x[2] and cand.y[1] == cand.y[2]
 
     def test_step_is_fixed_point_of_one_call_form(self):
         # the stepping path and dmm_rhs run one code: bitwise the same step
