@@ -14,19 +14,22 @@ Each subcommand takes only the flags it reads (``vortexblob <cmd>
 comma-separated text with a header row; floats are written in scientific
 notation with 17 significant digits so they round-trip losslessly.  Each
 run also writes a JSON manifest holding the subcommand's parsed flags
-plus the run's own results.  Exit codes: 0 success, 2 usage error,
-3 solver failure, 4 degeneracy (a coincident pair, "degeneracy error:") or
-domain error (a non-finite invariant, "domain error:").
+plus the run's own results and its wall time in seconds.  Exit codes:
+0 success, 2 usage error, 3 solver failure, 4 degeneracy (a coincident
+pair, "degeneracy error:") or domain error (a non-finite invariant,
+"domain error:").
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -84,9 +87,10 @@ def _write_table(path, header, rows):
 
 
 def _write_manifest(args, **results):
-    """manifest.json in args.out: the parsed flags plus the run's own results."""
-    config = {key: value for key, value in vars(args).items() if key != "func"}
-    config.update(results)
+    """manifest.json in args.out: the parsed flags, the run's own results and
+    wall_time, the seconds since main started the subcommand."""
+    config = {key: value for key, value in vars(args).items() if key not in ("func", "started")}
+    config.update(results, wall_time=time.perf_counter() - args.started)
     _write_atomic(os.path.join(args.out, "manifest.json"),
                   lambda handle: json.dump(config, handle, indent=2, sort_keys=True))
 
@@ -125,7 +129,7 @@ def _drift_run(args, system, state, method, filename):
 def cmd_simulate(args):
     system, state = _problem_from_args(args)
     record = _drift_run(args, system, state, args.method, "drift.csv")
-    _write_manifest(args, M=system.size, wall_time=record.wall_time)
+    _write_manifest(args, M=system.size)
     print(f"simulate: method={args.method} M={system.size} steps={args.steps} "
           f"max_drift={[_fmt(v) for v in record.max_drift()]}")
     return EXIT_OK
@@ -149,7 +153,8 @@ def cmd_conservation(args):
 
 def _write_order_tables(args, x_name, points_of):
     """errors.csv of points_of(m) = [(x, error), ...] for each order m, slopes.csv
-    of the orders with at least three points, and the manifest."""
+    of the orders with at least three points (none, and an earlier run's is
+    deleted, when no order has them), and the manifest."""
     rows = []
     slopes = []
     for m in args.orders:
@@ -160,8 +165,12 @@ def _write_order_tables(args, x_name, points_of):
             slopes.append([str(m), fit.slope, fit.r_squared])
             print(f"{args.command}: m={m} slope={fit.slope:.4f}")
     _write_table(os.path.join(args.out, "errors.csv"), ["m", x_name, "error"], rows)
+    slopes_path = os.path.join(args.out, "slopes.csv")
     if slopes:
-        _write_table(os.path.join(args.out, "slopes.csv"), ["m", "slope", "r_squared"], slopes)
+        _write_table(slopes_path, ["m", "slope", "r_squared"], slopes)
+    else:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(slopes_path)
     _write_manifest(args)
     return EXIT_OK
 
@@ -347,6 +356,7 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return int(exc.code) if exc.code else EXIT_OK
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except ConfigurationError as exc:

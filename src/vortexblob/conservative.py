@@ -76,7 +76,7 @@ def _taylor_polynomials(q):
     difference is sum_n c_n (z-1)^n / (n+1)!.  c_0 = C = 1 - Q exp(-xi),
     and c_{n+1} = xi c_n' - (n+1) c_n.
     """
-    a, b = 1.0, -q
+    a, b = 1.0, -np.asarray(q)
     out = []
     for n in range(3):
         out.append((a, tuple(float(c) for c in b)))
@@ -106,13 +106,13 @@ def _closed_form(m, xi_k, e_k, e1_k, xi_k1, z, s):
     """c_tau_closed from the prev-level terms e_k = exp(-xi_k), e1_k = E1(xi_k), z = xi_k1/xi_k and s = z - 1."""
     num = np.log(np.abs(z)) + exp_integral_e1(xi_k1) - e1_k
     r = ORDER_POLYNOMIALS[m].r
-    if r.size:
+    if r:
         # e^-xi_k1 - e^-xi_k = e^-min(xi) expm1(-|xi_k1 - xi_k|), signed: no 0 * inf where xi falls by over ~709
         e_k1 = np.exp(-xi_k1)
         fall = xi_k - xi_k1
         num = num + np.maximum(e_k, e_k1) * np.copysign(np.expm1(-np.abs(fall)), fall) * _horner(xi_k, r)
     out = num / s
-    if r.size > 1:
+    if len(r) > 1:
         out = out + xi_k * _divided_difference(r, xi_k, xi_k1) * e_k1
     return out
 

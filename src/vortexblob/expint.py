@@ -13,15 +13,21 @@ below 1, where a 30-term series loop took 190 ns (and 130 us for a call
 on 1 element); but on (1, 34] it takes 390 ns against the table's 20 ns,
 and above 34 it takes 130 ns against 2 ns for the zero.  Of the pairs of
 the 316-, 812- and 3228-vortex grids, 2.3%, 1.4% and 0.6% lie below 1 and
-59%, 35% and 14% on (1, 34], so the table and the zero stay.  On a
-3-element call the table takes 50 us, nearly all of it the 48 numpy calls
-of Horner's 24 steps; Clenshaw's recurrence on the Chebyshev series took
-85 us there and 57 ns per element on 1e5 elements.
+59%, 35% and 14% on (1, 34], so the table and the zero stay.  Horner's
+24 steps on the table take 48 numpy calls, so ``_horner`` sums an array
+of up to 30 elements in Python floats instead, with the same bits.  A
+whole E1 call on the table then takes 15, 17 and 21 us on 1, 3 and 8
+elements, against 62, 39 and 39 us on numpy alone (min of 21 interleaved
+timings, single-threaded on a 2-CPU Intel Xeon), and 31 ns per element on
+1e5 elements either way.  Clenshaw's recurrence on the Chebyshev series took 85 us on 3
+elements, when numpy Horner took 50 us, and 57 ns per element on 1e5.
 ``e1_reference`` provides an independent series / continued-fraction
 evaluation used by the test suite to validate ``exp_integral_e1``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import exp1
@@ -68,25 +74,73 @@ _CHEB_COEF = np.array([
     1.2647262427574748e-18,
 ])
 _LOG_HI = np.log(CUTOFF)
-# The same fit in powers of t, for Horner's rule.  The magnitudes of these
-# coefficients sum to 1.18, so the power sum is as accurate as the Chebyshev
-# one: about 1e-15 relative to mpmath either way.
-_POW_COEF = np.polynomial.chebyshev.cheb2poly(_CHEB_COEF)
+# The same fit in powers of t, for Horner's rule, as Python floats.  The
+# magnitudes of these coefficients sum to 1.18, so the power sum is as
+# accurate as the Chebyshev one: about 1e-15 relative to mpmath either way.
+_POW_COEF = tuple(np.polynomial.chebyshev.cheb2poly(_CHEB_COEF).tolist())
+
+# _horner's measured costs, in us (see its docstring).
+_NUMPY_STEP_US = 1.04
+_FLOAT_CALL_US = 0.9
+_FLOAT_ELEM_US = 0.11
+_FLOAT_STEP_US = 0.028
 
 
 def _horner(x, coef):
-    """coef[0] + coef[1] x + ... by Horner's rule, in place after the first step.
+    """coef[0] + coef[1] x + ... by Horner's rule: the package's one polynomial evaluator.
 
     No x * 0 term, so a one-term polynomial gives the bare coefficient.
-    The package's one polynomial evaluator.
+    Both loops take acc = coef[-1] x + coef[-2], then acc = acc x + c for
+    each remaining coefficient.  Each multiply and add is correctly rounded
+    and unfused in numpy and in Python floats alike, so the two give the
+    same bits.  Measured single-threaded on a shared 2-CPU Intel Xeon with
+    numpy 2.4 and CPython 3.11 (min of 15 interleaved timings, 2 to 25 coefficients on 0 to 32
+    elements), a numpy step (a multiply and an add, in place after the
+    first) costs about 1.04 us whatever the size, twice that on one
+    element; the Python float loop costs about 0.9 us a call, 0.11 us an
+    element and 0.028 us an element and step.  So an array takes the float
+    loop where the inequality below finds it cheaper: up to 30 elements for
+    E1's 25 coefficients, 14 for 5, 7 for 3 and 1 for 2.  On 3 elements the
+    25 coefficients then take 3.3 us instead of 21 us.  Scalars and 0-d
+    arrays stay on numpy, which returns a numpy scalar for them.  Pass
+    coefficients as Python floats: numpy scalars make the float loop
+    slower, not different.
     """
-    if len(coef) == 1:
+    steps = len(coef) - 1
+    if steps == 0:
         return coef[0]
+    if (type(x) is np.ndarray and x.ndim
+            and steps * _NUMPY_STEP_US > _FLOAT_CALL_US + x.size * (_FLOAT_ELEM_US + steps * _FLOAT_STEP_US)):
+        return _horner_floats(x, coef)
+    return _horner_numpy(x, coef)
+
+
+def _horner_numpy(x, coef):
+    """Horner on numpy arrays, in place after the first step."""
     out = coef[-1] * x + coef[-2]
     for c in coef[-3::-1]:
         out *= x
         out += c
     return out
+
+
+def _horner_floats(x, coef):
+    """Horner in Python floats, one element at a time; an array shaped like x.
+
+    Python floats overflow without a warning, so a call with any result
+    that is not finite is redone on numpy: the same bits, and numpy's
+    RuntimeWarning.
+    """
+    top, nxt, rest = coef[-1], coef[-2], coef[-3::-1]
+    out = []
+    for v in x.ravel().tolist():
+        acc = top * v + nxt
+        for c in rest:
+            acc = acc * v + c
+        out.append(acc)
+    if not math.isfinite(sum(out)):  # inf or nan in any term, or an overflowing sum
+        return _horner_numpy(x, coef)
+    return np.array(out).reshape(x.shape)
 
 
 def _cheb(x):

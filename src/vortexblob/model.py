@@ -37,22 +37,24 @@ from .expint import _horner, exp_integral_e1
 
 
 class OrderPolynomials(NamedTuple):
-    """Coefficients, in increasing degree, of one blob order's polynomials."""
+    """Coefficients, in increasing degree and as Python floats, of one blob order's polynomials."""
 
-    q: np.ndarray  # cutoff C(xi) = 1 - Q(xi) exp(-xi); unit constant term
-    p: np.ndarray  # matched vorticity shape zeta = P(xi) exp(-xi) / delta^2
-    r: np.ndarray  # pair potential V = log r2 + E1(xi) + R(xi) exp(-xi)
+    q: tuple  # cutoff C(xi) = 1 - Q(xi) exp(-xi); unit constant term
+    p: tuple  # matched vorticity shape zeta = P(xi) exp(-xi) / delta^2
+    r: tuple  # pair potential V = log r2 + E1(xi) + R(xi) exp(-xi)
 
 
 # The one table of per-order data; everything order-dependent is derived
 # from it.  Q = 1 - xi (R' - R) ties the potential to the cutoff.  R_2 = 0
 # has no coefficients.
 ORDER_POLYNOMIALS = {
-    2: OrderPolynomials(q=np.array([1.0]), p=np.array([1.0]) / np.pi, r=np.array([])),
-    4: OrderPolynomials(q=np.array([1.0, -1.0]), p=np.array([2.0, -1.0]) / np.pi, r=np.array([-1.0])),
-    6: OrderPolynomials(q=np.array([1.0, -2.0, 0.5]), p=np.array([3.0, -3.0, 0.5]) / np.pi, r=np.array([-1.5, 0.5])),
+    2: OrderPolynomials(q=(1.0,), p=(1.0 / math.pi,), r=()),
+    4: OrderPolynomials(q=(1.0, -1.0), p=(2.0 / math.pi, -1.0 / math.pi), r=(-1.0,)),
+    6: OrderPolynomials(q=(1.0, -2.0, 0.5), p=(3.0 / math.pi, -3.0 / math.pi, 0.5 / math.pi), r=(-1.5, 0.5)),
 }
 SUPPORTED_ORDERS = tuple(ORDER_POLYNOMIALS)
+# S(xi) = (1 - Q(xi))/xi of cutoff_over_r2, per order.
+_CUTOFF_S = {m: tuple(-c for c in poly.q[1:]) for m, poly in ORDER_POLYNOMIALS.items()}
 
 
 def _check_order(m):
@@ -93,8 +95,8 @@ def cutoff_over_r2(m, r2, delta):
     xi = np.asarray(r2, dtype=float) / delta**2
     minus_xi = -xi
     out = np.divide(-np.expm1(minus_xi), xi, out=np.ones_like(xi), where=xi > 0)
-    s = -ORDER_POLYNOMIALS[m].q[1:]
-    if s.size:
+    s = _CUTOFF_S[m]
+    if s:
         out += _horner(xi, s) * np.exp(minus_xi)
     out /= delta**2
     return float(out) if out.ndim == 0 else out
@@ -298,7 +300,7 @@ def pair_potential(m, r2, delta):
     xi = r2 / delta**2
     v = np.log(np.abs(r2)) + exp_integral_e1(xi)
     r = ORDER_POLYNOMIALS[m].r
-    if r.size:
+    if r:
         v = v + _horner(xi, r) * np.exp(-xi)
     return v
 

@@ -126,6 +126,19 @@ class TestOrderCommands:
         _, rows = read_csv(os.path.join(out, "errors.csv"))
         assert len(rows) == 1
 
+    def test_run_without_fit_deletes_earlier_slopes(self, tmp_path):
+        # three taus at m = 2 fit a slope; one tau at m = 4 fits none, so
+        # slopes.csv must not keep m = 2's slope next to m = 4's errors.csv
+        out = str(tmp_path / "reuse")
+        assert main(["temporal-order", "--taus", "0.5", "0.25", "0.125", "--orders", "2",
+                     "--t-final", "1", "--out", out]) == EXIT_OK
+        assert os.path.exists(os.path.join(out, "slopes.csv"))
+        assert main(["temporal-order", "--taus", "0.5", "--orders", "4",
+                     "--t-final", "1", "--out", out]) == EXIT_OK
+        _, rows = read_csv(os.path.join(out, "errors.csv"))
+        assert [row[0] for row in rows] == ["4"]
+        assert not os.path.exists(os.path.join(out, "slopes.csv"))
+
     def test_spatial_order_runs_small(self, tmp_path):
         out = str(tmp_path / "spat")
         code = main(["spatial-order", "--grids", "4", "8", "16", "--orders", "2",
@@ -240,7 +253,7 @@ class TestManifest:
         "timing": "random_vortices n_seeds seed m tau steps methods match_time tol max_iters out",
         "e1-table": "x_min x_max count out",
     }
-    RESULTS = {"simulate": "M wall_time", "conservation": "M", "e1-table": "max_rel_error"}
+    RESULTS = {"simulate": "M", "conservation": "M", "e1-table": "max_rel_error"}
     DEFAULTS = {"simulate": {"seed": 0}, "conservation": {"seed": 0}, "timing": {"seed": 0, "random_vortices": 3}}
     TOY_ARGS = {
         "simulate": ["--cells", "3", "--steps", "2"],
@@ -256,8 +269,9 @@ class TestManifest:
         out = str(tmp_path / command)
         assert main([command, *self.TOY_ARGS[command], "--out", out]) == EXIT_OK
         manifest = json.load(open(os.path.join(out, "manifest.json")))
-        expected = {"command", *self.FLAGS[command].split(), *self.RESULTS.get(command, "").split()}
+        expected = {"command", "wall_time", *self.FLAGS[command].split(), *self.RESULTS.get(command, "").split()}
         assert set(manifest) == expected
+        assert manifest["wall_time"] > 0.0
         assert manifest["command"] == command
         assert manifest["out"] == out
         for key, value in self.DEFAULTS.get(command, {}).items():

@@ -5,8 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vortexblob import expint
+from vortexblob.conservative import _TAYLOR_POLYNOMIALS
 from vortexblob.errors import DomainError
-from vortexblob.expint import CUTOFF, SERIES_MAX, e1_reference, exp_integral_e1
+from vortexblob.expint import (
+    _POW_COEF,
+    CUTOFF,
+    SERIES_MAX,
+    _horner,
+    _horner_floats,
+    _horner_numpy,
+    e1_reference,
+    exp_integral_e1,
+)
+from vortexblob.model import _CUTOFF_S, ORDER_POLYNOMIALS
 
 # Reference values computed with the series / continued-fraction oracle
 # (agrees with 50-digit arbitrary-precision evaluation to ~4e-16).
@@ -65,17 +77,40 @@ def test_scalar_and_array_agree():
         assert exp_integral_e1(float(x)) == v
 
 
+def _float_limit(coef):
+    """The largest size of a 1-D array that _horner sends to its float loop, or -1."""
+    sizes = []
+
+    def spy(x, c):
+        sizes.append(x.size)
+        return _horner_floats(x, c)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expint, "_horner_floats", spy)
+        for n in range(200):
+            _horner(np.ones(n), coef)
+    assert sizes == list(range(len(sizes)))  # every size up to the limit, none above
+    return len(sizes) - 1
+
+
+# E1's table is the longest polynomial, so its limit is the largest.
+FLOAT_LIMIT = _float_limit(_POW_COEF)
+
+
 def test_table_regime_is_size_independent_and_accurate():
     # 1e5 log-uniform points on (1, 34]: every element gets the same bits
-    # from a call on 1, 3 or all of them, and each is within 2e-15 of mpmath
+    # from a call on any size from 1 to 2 FLOAT_LIMIT + 1, across _horner's
+    # switch from Python floats to numpy, or on all of them, and each is
+    # within 2e-15 of mpmath
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(11)
     xs = np.exp(rng.uniform(np.log(SERIES_MAX), np.log(CUTOFF), 100_000))
     xs = xs[xs > SERIES_MAX]
     vals = exp_integral_e1(xs)
     assert all(exp_integral_e1(float(x)) == v for x, v in zip(xs[:3000], vals[:3000]))
-    triples = np.concatenate([exp_integral_e1(xs[k:k + 3]) for k in range(0, 3000, 3)])
-    assert np.array_equal(triples, vals[:3000])
+    for size in range(1, 2 * FLOAT_LIMIT + 2):
+        parts = np.concatenate([exp_integral_e1(xs[k:k + size]) for k in range(0, 3000, size)])
+        assert np.array_equal(parts, vals[:len(parts)]), size
     with mpmath.workdps(40):
         refs = np.array([float(mpmath.e1(mpmath.mpf(float(x)))) for x in xs])
     assert np.abs(vals / refs - 1.0).max() <= 2e-15
@@ -96,3 +131,67 @@ def test_oracle_agreement_property(log_x):
 )
 def test_strictly_decreasing(x, factor):
     assert exp_integral_e1(x) > exp_integral_e1(x * factor) > 0.0
+
+
+def _horner_tables():
+    """Every coefficient table the package evaluates with _horner that has a
+    Horner step: E1's, each order's Q, P, R and cutoff S, and the Taylor B_n."""
+    tables = {"e1": _POW_COEF}
+    for m, poly in ORDER_POLYNOMIALS.items():
+        tables.update({f"q{m}": poly.q, f"p{m}": poly.p, f"r{m}": poly.r, f"s{m}": _CUTOFF_S[m]})
+        tables.update({f"b{n}_{m}": b for n, (_, b) in enumerate(_TAYLOR_POLYNOMIALS[m])})
+    return {name: coef for name, coef in tables.items() if len(coef) > 1}
+
+
+HORNER_TABLES = _horner_tables()
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_float_limit_of_each_table():
+    # the float loop pays where numpy's per-call cost dominates: long tables
+    # on a few elements, never two coefficients on more than one
+    assert 8 <= FLOAT_LIMIT <= 40
+    assert all(_float_limit(coef) <= FLOAT_LIMIT for coef in HORNER_TABLES.values())
+    assert _float_limit((1.0, 2.0)) <= 1
+
+
+_ELEMENTS = st.one_of(
+    st.floats(min_value=-1.0, max_value=1.0),  # E1's t
+    st.floats(min_value=0.0, max_value=800.0),  # xi
+    st.floats(allow_nan=True, allow_infinity=True),  # overflow, inf and nan
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(HORNER_TABLES)), st.data())
+def test_float_and_numpy_loops_agree_bitwise(name, data):
+    coef = HORNER_TABLES[name]
+    values = data.draw(st.lists(_ELEMENTS, max_size=2 * FLOAT_LIMIT + 1))
+    rows = data.draw(st.sampled_from([None, 1, 2, 3]))
+    x = np.array(values, dtype=float)
+    if rows is not None:  # 2-D: as many whole rows as fit
+        x = x[:len(x) // rows * rows].reshape(rows, -1)
+    with np.errstate(all="ignore"):
+        want = _horner_numpy(x, coef)
+        for got in (_horner_floats(x, coef), _horner(x, coef)):
+            assert type(got) is np.ndarray and got.shape == x.shape
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("name", sorted(HORNER_TABLES))
+def test_scalars_and_0d_stay_numpy_scalars(name):
+    coef = HORNER_TABLES[name]
+    for x in (np.float64(2.5), np.array(11.0)):
+        got, want = _horner(x, coef), _horner_numpy(x, coef)
+        assert type(got) is type(want) is np.float64 and _bits(got) == _bits(want)
+
+
+def test_float_loop_overflow_still_warns():
+    # Python floats overflow quietly; the call is redone on numpy, which warns
+    x = np.array([1e20, 0.5])
+    with pytest.warns(RuntimeWarning):
+        out = _horner(x, _POW_COEF)
+    assert np.isinf(out[0]) and np.isfinite(out[1])
