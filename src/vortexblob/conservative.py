@@ -13,7 +13,8 @@ the conservation; :func:`vortexblob.integrators.dmm_step` solves the
 update.  ``PrevLevel`` builds the prev level once per step: over the
 chunked pair triangle i < j of :mod:`vortexblob.model`, which checks for
 coincident vortices, it splits each chunk by xi_k into a near part, which
-holds each pair's differences and r2, exp(-xi_k), E1(xi_k) and the c_tau
+holds each pair's differences and r2, exp(-xi_k), W(xi_k) (model's
+``potential_tail``, the pair potential less its log) and the c_tau
 switch band (64 bytes a pair), and a far part, which holds the
 differences and r2 alone (40 bytes a pair).  Each Picard iterate then
 forms only the cand level and scatters each pair's antisymmetric
@@ -23,7 +24,9 @@ triangle keeps sorted by i.
 ``dmm_rhs`` is the one-call form (build, evaluate once).  The discrete
 multiplier is model's ``multiplier`` built from f_tau.
 
-The divided-difference factor ``c_tau`` is singular-looking when the two
+The divided-difference factor ``c_tau`` is that of the pair potential
+V = log xi + W(xi) whose sum is the Hamiltonian, in closed form
+(log z + W(xi_k1) - W(xi_k))/(z - 1).  It is singular-looking when the two
 pair separations agree; there it takes a truncated Taylor expansion in
 z - 1, z the squared-separation ratio, by the one switch that ``c_tau``'s
 docstring states with its error balance.  Far pairs take log1p(s)/s, by
@@ -39,7 +42,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import ConfigurationError, DomainError
-from .expint import _horner, exp_integral_e1
+from .expint import _horner, exp_integral_e1  # noqa: F401  E1 is unused here, but perfbench/spans.py wraps this name
 from .model import (
     ORDER_POLYNOMIALS,
     _check_order,
@@ -47,6 +50,7 @@ from .model import (
     drop_coincident,
     multiplier,
     pair_differences,
+    potential_tail,
     triangle_blocks,
 )
 
@@ -87,41 +91,22 @@ def _taylor_polynomials(q):
 _TAYLOR_POLYNOMIALS = {m: _taylor_polynomials(poly.q) for m, poly in ORDER_POLYNOMIALS.items()}
 
 
-def _divided_difference(coef, a, b):
-    """(p(b) - p(a)) / (b - a) for a polynomial p of degree >= 1, division free."""
-    pb = d = coef[-1]
-    for c in coef[-2:0:-1]:
-        pb = c + b * pb
-        d = pb + a * d
-    return d
-
-
 def _taylor_form(m, xi_k, e_k, s):
     """c_tau_taylor from xi_k, e_k = exp(-xi_k) and s = z - 1."""
     c0, c1, c2 = (a + _horner(xi_k, b) * e_k for a, b in _TAYLOR_POLYNOMIALS[m])
     return c0 + c1 * s / 2.0 + c2 * s**2 / 6.0
 
 
-def _closed_form(m, xi_k, e_k, e1_k, xi_k1, z, s):
-    """c_tau_closed from the prev-level terms e_k = exp(-xi_k), e1_k = E1(xi_k), z = xi_k1/xi_k and s = z - 1."""
-    num = np.log(np.abs(z)) + exp_integral_e1(xi_k1) - e1_k
-    r = ORDER_POLYNOMIALS[m].r
-    if r:
-        # e^-xi_k1 - e^-xi_k = e^-min(xi) expm1(-|xi_k1 - xi_k|), signed: no 0 * inf where xi falls by over ~709
-        e_k1 = np.exp(-xi_k1)
-        fall = xi_k - xi_k1
-        num = num + np.maximum(e_k, e_k1) * np.copysign(np.expm1(-np.abs(fall)), fall) * _horner(xi_k, r)
-    out = num / s
-    if len(r) > 1:
-        out = out + xi_k * _divided_difference(r, xi_k, xi_k1) * e_k1
-    return out
+def _closed_form(m, w_k, xi_k1, z, s):
+    """c_tau_closed from w_k = W(xi_k), z = xi_k1/xi_k and s = z - 1; each level's W forms its own exp(-xi)."""
+    return (np.log(np.abs(z)) + potential_tail(m, xi_k1) - w_k) / s
 
 
-def _c_tau(m, xi_k, e_k, e1_k, band, xi_k1, eps):
-    """c_tau on arrays of pairs from the prev-level terms e_k = exp(-xi_k), e1_k = E1(xi_k) and band = clip(xi_k, eps, 1).
+def _c_tau(m, xi_k, e_k, w_k, band, xi_k1, eps):
+    """c_tau on arrays of pairs from the prev-level terms e_k = exp(-xi_k), w_k = W(xi_k) and band = clip(xi_k, eps, 1).
 
-    Taylor where |z - 1| band <= eps, the closed form elsewhere; e1_k None
-    computes E1(xi_k) where the closed form is taken.  A chunk that mixes
+    Taylor where |z - 1| band <= eps, the closed form elsewhere; w_k None
+    computes W(xi_k) where the closed form is taken.  A chunk that mixes
     the two takes the closed form on every pair, with s = 1 at the Taylor
     pairs so that z = 1 never divides 0 by 0, and then the Taylor form on
     the Taylor pairs alone, picked by index: that costs less than copying
@@ -132,14 +117,14 @@ def _c_tau(m, xi_k, e_k, e1_k, band, xi_k1, eps):
     near = np.abs(s) * band <= eps
     if near.all():
         return _taylor_form(m, xi_k, e_k, s)
-    if e1_k is None:
-        e1_k = exp_integral_e1(xi_k)
+    if w_k is None:
+        w_k = potential_tail(m, xi_k)
     if not near.any():
-        return _closed_form(m, xi_k, e_k, e1_k, xi_k1, z, s)
+        return _closed_form(m, w_k, xi_k1, z, s)
     idx = np.flatnonzero(near)
     s_near = s[idx]
     s[idx] = 1.0
-    out = _closed_form(m, xi_k, e_k, e1_k, xi_k1, z, s)
+    out = _closed_form(m, w_k, xi_k1, z, s)
     out[idx] = _taylor_form(m, xi_k[idx], e_k[idx], s_near)
     return out
 
@@ -148,7 +133,7 @@ def _far_threshold(q):
     """xi_far of the cutoff polynomial Q: the root of |Q(xi)| e^-xi = 2^-53 above Q's roots.
 
     Past it c_tau is log1p(s)/s, s = xi_k1/xi_k - 1, to rounding.  The
-    pair potential is V = log xi + E1(xi) + R(xi) e^-xi with
+    pair potential is V = log xi + W(xi), W = E1 + R e^-xi, with
     V' = C(xi)/xi = (1 - Q(xi) e^-xi)/xi, so by the mean value theorem
     c_tau = xi_k (V(xi_k1) - V(xi_k))/(xi_k1 - xi_k) is xi_k times the mean
     of V' over [xi_k, xi_k1]: xi_k times the mean of 1/xi, which is
@@ -198,18 +183,17 @@ def c_tau_taylor(m, xi_k, z):
 
 
 def c_tau_closed(m, xi_k, xi_k1):
-    """Closed-form divided-difference factor (log, E1, exponential terms).
+    """Closed-form divided difference of the pair potential V = log xi + W(xi).
 
-    With z = xi_k1/xi_k and R the order's potential remainder,
-    [log z + E1(xi_k1) - E1(xi_k) + R(xi_k) (e^-xi_k1 - e^-xi_k)]/(z - 1)
-    + xi_k R[xi_k, xi_k1] e^-xi_k1.  Not protected against the z -> 1
-    cancellation; see c_tau for the branch-switched version.
+    With z = xi_k1/xi_k and W = E1 + R e^-xi model's potential_tail,
+    [log z + W(xi_k1) - W(xi_k)]/(z - 1).  Not protected against the
+    z -> 1 cancellation; see c_tau for the branch-switched version.
     """
     _check_order(m)
     xi_k = np.asarray(xi_k, dtype=float)
     xi_k1 = np.asarray(xi_k1, dtype=float)
     z = xi_k1 / xi_k
-    return _closed_form(m, xi_k, np.exp(-xi_k), exp_integral_e1(xi_k), xi_k1, z, z - 1.0)
+    return _closed_form(m, potential_tail(m, xi_k), xi_k1, z, z - 1.0)
 
 
 def c_tau(m, xi_k, xi_k1):
@@ -219,7 +203,7 @@ def c_tau(m, xi_k, xi_k1):
     DomainError otherwise.  With eps = DEFAULT_CTAU.epsilon_switch, uses
     the truncated Taylor expansion when |xi_k1/xi_k - 1| clip(xi_k, eps, 1)
     is at most eps, the closed form otherwise: below xi_k = 1 the closed
-    form's log z cancels against E1(xi_k1) - E1(xi_k) and loses about
+    form's log z cancels against W(xi_k1) - W(xi_k) and loses about
     eps |log xi_k| / (xi_k |z - 1|), while the Taylor terms shrink like
     (xi_k (z - 1))^n.  The Taylor band stops at |z - 1| = 1, where the
     rounding of its coefficients, about eps (z - 1)^2 / xi_k relative,
@@ -247,9 +231,9 @@ def c_tau(m, xi_k, xi_k1):
 # The two parts of a prev-level chunk: pairs i < j at nonzero distance in
 # the triangle's order, so sorted by i, with their differences dx, dy and
 # r2.  A near pair (xi = r2/delta^2 at most xi_far) also holds e = exp(-xi),
-# e1 = E1(xi) and the c_tau switch band clip(xi, eps, 1); a far pair's
-# c_tau needs r2 alone.
-_NearPairs = namedtuple("_NearPairs", "i j dx dy r2 e e1 band")
+# w = W(xi), the potential_tail, and the c_tau switch band clip(xi, eps, 1);
+# a far pair's c_tau needs r2 alone.
+_NearPairs = namedtuple("_NearPairs", "i j dx dy r2 e w band")
 _FarPairs = namedtuple("_FarPairs", "i j dx dy r2")
 # A part and its row segments: the rows i of its pairs and the index of each
 # row's first pair, what np.add.reduceat needs to sum the i-side.
@@ -279,9 +263,9 @@ def _prev_parts(system, prev, i, j, eps):
         cols = [*rows[:2].view(np.intp), *rows[2:]]
         for col, a in zip(cols, (*pairs, xi)):  # a far pair takes no xi
             col[...] = a[idx]
-        if kind is _NearPairs:  # xi sits in e's row until E1 and the band are formed
+        if kind is _NearPairs:  # xi sits in e's row until W and the band are formed
             xi_k = cols[5]
-            cols[6][...] = exp_integral_e1(xi_k)
+            cols[6][...] = potential_tail(system.m, xi_k)
             np.clip(xi_k, eps, 1.0, out=cols[7])
             np.exp(np.negative(xi_k, out=xi_k), out=xi_k)
         p = kind(*cols)
@@ -303,7 +287,7 @@ class PrevLevel:
 
     Splits each tile-sized chunk of the pair triangle i < j by xi_k against
     the order's far threshold (_far_threshold).  A near pair holds its
-    prev-level differences and r2, exp(-xi_k), E1(xi_k) and the c_tau switch
+    prev-level differences and r2, exp(-xi_k), W(xi_k) and the c_tau switch
     band, 64 bytes; xi_k = r2/delta^2 is formed again per iterate.  A far pair
     holds its differences and r2 alone, 40 bytes, and takes _far_form:
     log1p(s)/s, with no exp, E1 or band, unless its xi_k1 falls to the
@@ -351,7 +335,7 @@ class PrevLevel:
         if isinstance(p, _FarPairs):
             c = _far_form(self.system.m, p.r2, r2, self.d2, self.eps)
         else:
-            c = _c_tau(self.system.m, p.r2 / self.d2, p.e, p.e1, p.band, r2 / self.d2, self.eps)
+            c = _c_tau(self.system.m, p.r2 / self.d2, p.e, p.w, p.band, r2 / self.d2, self.eps)
         return c / p.r2
 
     def field(self, x, y):

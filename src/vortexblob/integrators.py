@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -21,6 +22,12 @@ import numpy as np
 from . import conservative
 from .errors import ConfigurationError, SolverFailureError, VortexBlobError
 from .model import State, conserved, rhs
+
+
+def _check_count(name, value, least):
+    """Raise ConfigurationError unless value is an integer (numpy ones too) >= least."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,10 +44,9 @@ class SolverConfig:
     max_iters: int = 200
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ConfigurationError("tol must be positive")
-        if self.max_iters < 1:
-            raise ConfigurationError("max_iters must be >= 1")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigurationError("tol must be positive and finite")
+        _check_count("max_iters", self.max_iters, 1)
 
     def threshold(self, state):
         """Absolute convergence threshold for a step starting at state."""
@@ -209,14 +215,14 @@ def integrate(system, state, tau, n_steps, method, solver=DEFAULT_SOLVER, sample
     Returns (RunRecord, final state).  The initial state and the last step
     are always sampled.  The implicit methods (imm, dmm) use solver.
     Errors of a step or of its sample propagate with the failing step
-    index noted.
+    index noted.  A state not of system.size raises ConfigurationError.
     """
     if method not in _STEP_FUNCTIONS:
         raise ConfigurationError(f"unknown method {method!r}; expected one of {METHODS}")
-    if n_steps < 0:
-        raise ConfigurationError("n_steps must be >= 0")
-    if not sample_stride >= 1:
-        raise ConfigurationError("sample_stride must be >= 1")
+    _check_count("n_steps", n_steps, 0)
+    _check_count("sample_stride", sample_stride, 1)
+    if state.x.size != system.size:
+        raise ConfigurationError(f"state holds {state.x.size} vortices, the system {system.size}")
 
     record = RunRecord()
 

@@ -116,8 +116,8 @@ class BlobSystem:
         if not self.h > 0 or not self.delta > 0:
             raise ConfigurationError("h and delta must be positive")
         kappa = np.asarray(self.kappa, dtype=float)
-        if not np.all(np.isfinite(kappa)):
-            raise ConfigurationError("vortex strengths must be finite")
+        if kappa.ndim != 1 or not np.all(np.isfinite(kappa)):
+            raise ConfigurationError("vortex strengths must be a finite 1-d array")
         object.__setattr__(self, "kappa", kappa)
 
     @property
@@ -266,9 +266,11 @@ def rhs(system, state):
 
 
 def _points(z):
-    """(single, (px, py)) for one point (2,) or an array of points (N, 2)."""
-    pts = np.atleast_2d(np.asarray(z, dtype=float))
-    return np.ndim(z) == 1, (pts[:, 0], pts[:, 1])
+    """(single, (px, py)) for one point (2,) or an array of points (N, 2); other shapes raise ConfigurationError."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim not in (1, 2) or z.shape[-1] != 2:
+        raise ConfigurationError(f"evaluation points must have shape (2,) or (N, 2), got {z.shape}")
+    return z.ndim == 1, tuple(z.reshape(-1, 2).T)
 
 
 def velocity_field(system, state, z):
@@ -293,16 +295,20 @@ def blob_vorticity(system, state, z):
     return float(out[0]) if single else out
 
 
-def pair_potential(m, r2, delta):
-    """Interaction potential V(r2) = log |r2| + E1(xi) + R(xi) exp(-xi)."""
-    _check_order(m)
-    r2 = np.asarray(r2, dtype=float)
-    xi = r2 / delta**2
-    v = np.log(np.abs(r2)) + exp_integral_e1(xi)
+def potential_tail(m, xi):
+    """W(xi) = E1(xi) + R(xi) exp(-xi), the pair potential less its log: V = log r2 + W(r2/delta^2)."""
+    w = exp_integral_e1(xi)
     r = ORDER_POLYNOMIALS[m].r
     if r:
-        v = v + _horner(xi, r) * np.exp(-xi)
-    return v
+        w = w + _horner(xi, r) * np.exp(-xi)
+    return w
+
+
+def pair_potential(m, r2, delta):
+    """Interaction potential V(r2) = log |r2| + W(xi), xi = r2/delta^2, W the potential_tail."""
+    _check_order(m)
+    r2 = np.asarray(r2, dtype=float)
+    return np.log(np.abs(r2)) + potential_tail(m, r2 / delta**2)
 
 
 def conserved(system, state):

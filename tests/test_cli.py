@@ -219,6 +219,12 @@ class TestExitCodes:
                      ["spatial-order", "--tau", "0"]):
             assert main(argv + out) == EXIT_USAGE, argv
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tol_is_usage_error(self, tol, tmp_path):
+        # --tol inf would end every dmm step at its first iterate, the explicit Euler step
+        assert main(["simulate", "--cells", "6", "--steps", "20", "--tol", tol,
+                     "--out", str(tmp_path / "bad")]) == EXIT_USAGE
+
     def test_solver_failure_exit(self, tmp_path):
         code = main(["simulate", "--cells", "4", "--steps", "2", "--tau", "0.5",
                      "--method", "dmm", "--tol", "1e-30", "--max-iters", "2",

@@ -20,7 +20,7 @@ from vortexblob.conservative import (
 from vortexblob.errors import DomainError, PairDegeneracyError, SolverFailureError
 from vortexblob.expint import exp_integral_e1
 from vortexblob.integrators import DEFAULT_SOLVER, SolverConfig, _fixed_point, dmm_step, integrate
-from vortexblob.model import ORDER_POLYNOMIALS, BlobSystem, State, conserved, cutoff, rhs
+from vortexblob.model import ORDER_POLYNOMIALS, BlobSystem, State, conserved, cutoff, pair_potential, rhs
 
 
 def random_pair(rng, n, m=2, delta=1.0, spread=0.05):
@@ -116,7 +116,7 @@ class TestCTau:
             assert np.array_equal(out, [c_tau(m, float(a), float(b)) for a, b in zip(xi_k, xi_k1)])
 
     def test_matches_mpmath_on_close_pairs(self):
-        # below xi_k = 1 the closed form's log z cancels against E1(xi_k1) - E1(xi_k)
+        # below xi_k = 1 the closed form's log z cancels against W(xi_k1) - W(xi_k)
         # and loses about eps |log xi_k| / (xi_k |z - 1|): the switch must hand those
         # pairs to the Taylor form.  |z - 1| and xi_k log-uniform on [1e-7, 0.1] x [1e-4, 40]
         # within 2e-11.  Below xi_k = 1e-4 c_0 = 1 - Q exp(-xi_k) itself loses eps / xi_k,
@@ -190,14 +190,27 @@ class TestCTau:
         xi_k1 = xi_far * (1.0 - np.array([0.0, 1e-12, 1e-6, 1e-3, 1e-2, 1e-1]))
         full, seen = vortexblob.conservative._c_tau, []
 
-        def spy(m, xi_k, e_k, e1_k, band, xi_k1, eps):
+        def spy(m, xi_k, e_k, w_k, band, xi_k1, eps):
             seen.extend(xi_k1)
-            return full(m, xi_k, e_k, e1_k, band, xi_k1, eps)
+            return full(m, xi_k, e_k, w_k, band, xi_k1, eps)
 
         monkeypatch.setattr(vortexblob.conservative, "_c_tau", spy)
         got = c_tau(m, xi_k, xi_k1)
         assert sorted(seen) == sorted(xi_k1)
         assert np.abs(got / mpmath_c_tau(mpmath, m, xi_k, xi_k1) - 1.0).max() <= 2e-11
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_closed_form_is_divided_difference_of_pair_potential(self, m):
+        # per pair, c_tau_closed (b/a - 1) = V(b) - V(a) for the pair potential V whose
+        # sum is H, within two roundings of its largest terms: a log-uniform on
+        # [1e-4, 40], |b/a - 1| log-uniform on [1e-3, 0.5], both signs
+        rng = np.random.default_rng(60 + m)
+        a = 10.0 ** rng.uniform(-4.0, np.log10(40.0), 2000)
+        b = a * (1.0 + 10.0 ** rng.uniform(-3.0, np.log10(0.5), 2000) * rng.choice([-1.0, 1.0], 2000))
+        step = c_tau_closed(m, a, b) * (b / a - 1.0)
+        drop = pair_potential(m, b, 1.0) - pair_potential(m, a, 1.0)
+        scale = 1.0 + np.abs(np.log(a)) + np.abs(np.log(b)) + exp_integral_e1(a) + exp_integral_e1(b)
+        assert np.all(np.abs(step - drop) <= 2.0 * np.finfo(float).eps * scale)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -307,14 +320,20 @@ class TestDenseReference:
             monkeypatch.setattr(vortexblob.model, "_TILE", 2)
             monkeypatch.setattr(vortexblob.conservative, "_HELD_PAIRS", held_pairs)
 
+        seen = []
+
         def e1_positive(x):
             assert np.all(np.asarray(x) > 0.0)
+            seen.append(np.size(x))
             return exp_integral_e1(x)
 
-        monkeypatch.setattr(vortexblob.conservative, "exp_integral_e1", e1_positive)
+        monkeypatch.setattr(vortexblob.model, "exp_integral_e1", e1_positive)
         got = np.concatenate(dmm_rhs(system, prev, cand))
         assert got.shape == want.shape
         assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(initial=0.0)
+        # E1 is evaluated, through model's W, whenever a pair lies within xi_far at either level
+        xi_k, xi_k1 = TestDenseReference.xi_levels(system, prev, cand)
+        assert bool(seen) == bool(np.any(np.minimum(xi_k, xi_k1) <= vortexblob.conservative._XI_FAR[system.m]))
 
     @staticmethod
     def xi_levels(system, prev, cand):

@@ -82,6 +82,37 @@ class TestDriver:
             with pytest.raises(ConfigurationError):
                 integrate(system, state, 0.1, 3, "rk4", sample_stride=stride)
 
+    def test_non_integer_counts_rejected(self):
+        # a fractional stride would sample steps 3, 6, ... silently, and a fractional
+        # n_steps or max_iters would reach range() as a bare TypeError
+        system, state = four_vortex_ring(2)
+        with pytest.raises(ConfigurationError):
+            integrate(system, state, 0.1, 2.5, "rk4")
+        with pytest.raises(ConfigurationError):
+            integrate(system, state, 0.1, 6, "rk4", sample_stride=1.5)
+        with pytest.raises(ConfigurationError):
+            SolverConfig(max_iters=1.5)
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan])
+    def test_non_finite_tol_rejected(self, tol):
+        # tol = inf would stop every implicit step at its first iterate, the explicit Euler step
+        with pytest.raises(ConfigurationError):
+            SolverConfig(tol=tol)
+
+    def test_numpy_integer_counts_accepted(self):
+        system, state = four_vortex_ring(2)
+        solver = SolverConfig(max_iters=np.int64(50))
+        record, _ = integrate(system, state, 0.1, np.int32(4), "dmm", solver=solver, sample_stride=np.int64(2))
+        assert len(record.times) == 3
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_state_size_must_match_system(self, method):
+        system, state = four_vortex_ring(2)
+        for n in (state.x.size - 1, state.x.size + 1):
+            x = np.resize(state.x, n)
+            with pytest.raises(ConfigurationError):
+                integrate(system, State(x=x, y=np.resize(state.y, n)), 0.1, 1, method)
+
     def test_zero_steps_records_initial_sample_only(self):
         system, state = four_vortex_ring(4)
         record, final = integrate(system, state, 0.1, 0, "dmm")

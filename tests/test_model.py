@@ -375,6 +375,8 @@ class TestGrid:
             BlobSystem(m=4, h=-1.0, delta=1.0, kappa=np.array([1.0]))
         with pytest.raises(ConfigurationError):
             State(x=np.array([1.0]), y=np.array([1.0, 2.0]))
+        with pytest.raises(ConfigurationError):
+            BlobSystem(m=4, h=1.0, delta=1.0, kappa=np.ones((2, 2)))
 
 
 class TestVorticityField:
@@ -396,3 +398,13 @@ class TestVorticityField:
         pts = np.column_stack([gx.ravel(), gy.ravel()])
         total = blob_vorticity(system, state, pts).sum() * step**2
         assert total == pytest.approx(system.kappa.sum(), abs=1e-6)
+
+    @pytest.mark.parametrize("field", [velocity_field, blob_vorticity])
+    def test_points_must_be_pairs(self, field):
+        # an (N, 3) array or a 3-vector must not lose its last column silently
+        system = BlobSystem(m=2, h=1.0, delta=0.5, kappa=np.array([1.0]))
+        state = State(x=np.array([0.0]), y=np.array([0.0]))
+        for z in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2)), 0.5):
+            with pytest.raises(ConfigurationError):
+                field(system, state, z)
+        assert np.shape(field(system, state, np.zeros((0, 2))))[0] == 0
