@@ -15,8 +15,9 @@ comma-separated text with a header row; floats are written in scientific
 notation with 17 significant digits so they round-trip losslessly.  Each
 run also writes a JSON manifest holding the subcommand's parsed flags
 plus the run's own results and its wall time in seconds.  Exit codes:
-0 success, 2 usage error, 3 solver failure, 4 degeneracy (a coincident
-pair, "degeneracy error:") or domain error (a non-finite invariant,
+0 success, 2 usage error, 3 solver failure (naming the failing step,
+"solver failure: step k:"), 4 degeneracy (a coincident pair,
+"degeneracy error:") or domain error (a non-finite invariant,
 "domain error:").
 """
 
@@ -363,7 +364,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SolverFailureError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+        where = f"step {exc.step_index}: " if hasattr(exc, "step_index") else ""
+        print(f"solver failure: {where}{exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (PairDegeneracyError, DomainError) as exc:
         kind = "degeneracy" if isinstance(exc, PairDegeneracyError) else "domain"

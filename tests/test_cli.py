@@ -231,6 +231,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "sf")])
         assert code == EXIT_SOLVER
 
+    def test_solver_failure_names_step(self, tmp_path, capsys):
+        code = main(["simulate", "--cells", "6", "--steps", "5", "--max-iters", "2",
+                     "--out", str(tmp_path / "sf")])
+        assert code == EXIT_SOLVER
+        assert capsys.readouterr().err.startswith("solver failure: step 1: ")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("method", ["imm", "dmm"])
+    def test_overflowing_iterate_is_solver_failure(self, method, tmp_path, capsys):
+        # dmm's second iterate overflows r2 inside f_tau: a solver failure, not a domain error
+        code = main(["simulate", "--random-vortices", "3", "--tau", "1e200", "--method", method,
+                     "--out", str(tmp_path / "overflow")])
+        assert code == EXIT_SOLVER
+        assert capsys.readouterr().err.startswith("solver failure: step 1: ")
+
     @pytest.mark.parametrize("error, message", [
         (PairDegeneracyError(0, 1), "degeneracy error:"),
         (DomainError("conserved quantities are not finite"), "domain error:"),

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import vortexblob.integrators
+from vortexblob.conservative import PrevLevel
 from vortexblob.errors import ConfigurationError, DomainError, PairDegeneracyError, SolverFailureError
 from vortexblob.integrators import (
+    DEFAULT_SOLVER,
     METHODS,
     SolverConfig,
     dmm_step,
@@ -15,7 +17,7 @@ from vortexblob.integrators import (
     rm2_step,
     rm4_step,
 )
-from vortexblob.model import BlobSystem, State, conserved, rhs
+from vortexblob.model import BlobSystem, State, conserved, init_grid, rhs
 from vortexblob.reference import (
     fit_order,
     four_vortex_exact,
@@ -199,6 +201,23 @@ class TestDriver:
         if method in ("imm", "dmm"):  # Picard starts at the finite start state: the first iterate overflows
             assert exc.value.iterations == 1
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_dmm_iterate_is_solver_failure(self):
+        # the Euler step is finite, but the second iterate's r2 overflows inside f_tau
+        rng = np.random.default_rng(0)
+        system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=rng.uniform(-1.0, 1.0, 3))
+        state = State(x=rng.uniform(-1.0, 1.0, 3), y=rng.uniform(-1.0, 1.0, 3))
+        with pytest.raises(SolverFailureError) as exc:
+            integrate(system, state, 1e200, 3, "dmm")
+        assert exc.value.iterations == 2 and exc.value.step_index == 1
+        assert isinstance(exc.value.__cause__, DomainError)
+        assert np.isfinite(exc.value.last_state.x).all()
+
+    def test_iterations_recorded_for_every_step(self):
+        system, state = four_vortex_ring(2)
+        record, _ = integrate(system, state, 0.25, 7, "dmm", sample_stride=3)
+        assert len(record.times) == 4 and len(record.iterations) == 7
+
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_first_iterate_is_euler_step(self, m):
         rng = np.random.default_rng(m)
@@ -221,3 +240,71 @@ class TestDriver:
         system, state = four_vortex_ring(6)
         record, _ = integrate(system, state, 0.5, 40, "dmm")
         assert record.max_drift().max() <= 1e-12
+
+
+def plain_picard(state, tau, field_at, solver=DEFAULT_SOLVER):
+    """x = state + tau * field_at(x) by unmixed Picard from the start state: (x, y), iterates, update ratios."""
+    u0 = u = np.array((state.x, state.y))
+    updates = []
+    for iteration in range(1, solver.max_iters + 1):
+        g = u0 + tau * np.array(field_at(u[0], u[1]))
+        updates.append(float(np.abs(g - u).max()))
+        u = g
+        if updates[-1] <= solver.threshold(state):
+            return u, iteration, [b / a for a, b in zip(updates, updates[1:])]
+    raise AssertionError("plain Picard did not converge")
+
+
+class TestAndersonMixing:
+    def test_slow_grid_step_mixes_to_the_same_point(self):
+        # Picard contracts by 0.15-0.21 an iterate here, so the driver mixes
+        system, state = init_grid(10, m=4, prune_zero=True)
+        (x, y), plain_iters, ratios = plain_picard(state, 1.0, PrevLevel(system, state).field)
+        assert max(ratios) > vortexblob.integrators._RHO_MIX
+        out = dmm_step(system, state, 1.0)
+        assert (plain_iters, out.iterations) == (17, 13)
+        tol = 10 * DEFAULT_SOLVER.threshold(state)
+        assert np.abs(out.next.x - x).max() <= tol and np.abs(out.next.y - y).max() <= tol
+        drift = conserved(system, out.next).as_array() - conserved(system, state).as_array()
+        assert np.abs(drift).max() <= 1e-12
+
+    @pytest.mark.parametrize("method", ["imm", "dmm"])
+    def test_fast_contraction_is_plain_picard(self, method):
+        # tau = 0.2 on M = 3: every update is under 0.03 times the one before, so nothing mixes
+        rng = np.random.default_rng(0)
+        system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=rng.uniform(-1.0, 1.0, 3))
+        state = State(x=rng.uniform(-1.0, 1.0, 3), y=rng.uniform(-1.0, 1.0, 3))
+        if method == "imm":
+            field_at = lambda x, y: rhs(system, State(x=0.5 * (state.x + x), y=0.5 * (state.y + y)))  # noqa: E731
+            out = imm_step(system, state, 0.2)
+        else:
+            field_at = PrevLevel(system, state).field
+            out = dmm_step(system, state, 0.2)
+        (x, y), plain_iters, ratios = plain_picard(state, 0.2, field_at)
+        assert max(ratios) < vortexblob.integrators._RHO_MIX
+        assert out.iterations == plain_iters
+        assert np.array_equal(out.next.x, x) and np.array_equal(out.next.y, y)
+
+    def test_singular_gram_falls_back_to_picard(self, monkeypatch):
+        # A linear field in dyadic numbers, exact in floating point: the first
+        # mixed iterate stagnates at the one before, so the next dF column is
+        # zero, collinear with the first, and the Gram matrix is singular.
+        a = np.array([[0.5, -0.25], [-0.75, 0.5]])
+        state = State(x=[0.5], y=[0.5])
+        singular = []
+        solve = np.linalg.solve
+
+        def recording_solve(gram, b):
+            try:
+                return solve(gram, b)
+            except np.linalg.LinAlgError:
+                singular.append(gram.copy())
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        out = vortexblob.integrators._fixed_point(
+            state, 1.0, DEFAULT_SOLVER, lambda x, y: (a[0, 0] * x + a[0, 1] * y, a[1, 0] * x + a[1, 1] * y)
+        )
+        assert [g.tolist() for g in singular] == [[[2.0**-9, 0.0], [0.0, 0.0]]]
+        # the fixed point of x = x0 + a x is (2, -2); Picard alone takes 375 iterates
+        assert (out.next.x.tolist(), out.next.y.tolist(), out.iterations) == ([2.0], [-2.0], 6)
