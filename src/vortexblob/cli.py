@@ -152,10 +152,10 @@ def cmd_conservation(args):
     return EXIT_OK
 
 
-def _write_order_tables(args, x_name, points_of):
+def _write_order_tables(args, x_name, points_of, **results):
     """errors.csv of points_of(m) = [(x, error), ...] for each order m, slopes.csv
     of the orders with at least three points (none, and an earlier run's is
-    deleted, when no order has them), and the manifest."""
+    deleted, when no order has them), and the manifest with results."""
     rows = []
     slopes = []
     for m in args.orders:
@@ -172,7 +172,7 @@ def _write_order_tables(args, x_name, points_of):
     else:
         with contextlib.suppress(FileNotFoundError):
             os.remove(slopes_path)
-    _write_manifest(args)
+    _write_manifest(args, **results)
     return EXIT_OK
 
 
@@ -202,10 +202,11 @@ def cmd_spatial_order(args):
     _check_positive("--tau", args.tau)
     solver = _solver_from_args(args)
     n_steps = max(1, int(round(args.t_final / args.tau)))
+    # without --p, m = 6 takes a profile smooth enough to expose its full order
+    p_of = {m: args.p if args.p is not None else 15 if m == 6 else 3 for m in args.orders}
 
     def points_of(m):
-        # m = 6 needs a profile smooth enough to expose its full order
-        p = 15 if m == 6 else args.p
+        p = p_of[m]
         points = []
         for cells in args.grids:
             system, state = init_grid(cells, p=p, q=args.q, m=m, prune_zero=True)
@@ -215,7 +216,7 @@ def cmd_spatial_order(args):
             print(f"spatial-order: m={m} cells={cells} h={system.h:.4f} error={err:.6e}")
         return points
 
-    return _write_order_tables(args, "h", points_of)
+    return _write_order_tables(args, "h", points_of, p=p_of)
 
 
 def cmd_timing(args):
@@ -327,7 +328,8 @@ def build_parser():
     p_spa = sub.add_parser("spatial-order", help="h-halving velocity-field convergence sweep")
     p_spa.add_argument("--grids", type=int, nargs="+", default=[8, 16, 32, 64])
     p_spa.add_argument("--t-final", type=float, default=0.001)
-    _add_flags(p_spa, "--orders", "--q", "--p", "--tau", "--method", *_SOLVER, "--out")
+    p_spa.add_argument("--p", type=int, help="vorticity profile exponent of every order (default 3, and 15 for m = 6)")
+    _add_flags(p_spa, "--orders", "--q", "--tau", "--method", *_SOLVER, "--out")
     p_spa.set_defaults(tau=0.001, func=cmd_spatial_order)
 
     p_tim = sub.add_parser("timing", help="wall time and drift per method on random systems")

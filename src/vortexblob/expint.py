@@ -2,27 +2,28 @@
 
 Three regimes:
 
-* ``x <= 1``        -- ``scipy.special.exp1``,
+* ``x <= 1``        -- the power series -gamma - log(x) + Ein(x) (DLMF
+                       6.6.4), 20 coefficients summed by Horner's rule,
 * ``1 < x <= 34``   -- frozen Chebyshev fit of ``x * exp(x) * E1(x)``
                        in t = 2 log(x) / log(34) - 1, summed in powers
                        of t by Horner's rule,
 * ``x > 34``        -- exactly zero (|E1| is below double resolution there).
 
-Per element on 1e5-element arrays, single-threaded, exp1 takes 70 ns
-below 1, where a 30-term series loop took 190 ns (and 130 us for a call
-on 1 element); but on (1, 34] it takes 390 ns against the table's 20 ns,
-and above 34 it takes 130 ns against 2 ns for the zero.  Of the pairs of
-the 316-, 812- and 3228-vortex grids, 2.3%, 1.4% and 0.6% lie below 1 and
-59%, 35% and 14% on (1, 34], so the table and the zero stay.  Horner's
-24 steps on the table take 48 numpy calls, so ``_horner`` sums an array
-of up to 30 elements in Python floats instead, with the same bits.  A
-whole E1 call on the table then takes 15, 17 and 21 us on 1, 3 and 8
-elements, against 62, 39 and 39 us on numpy alone (min of 21 interleaved
-timings, single-threaded on a 2-CPU Intel Xeon), and 31 ns per element on
-1e5 elements either way.  Clenshaw's recurrence on the Chebyshev series took 85 us on 3
-elements, when numpy Horner took 50 us, and 57 ns per element on 1e5.
-``e1_reference`` provides an independent series / continued-fraction
-evaluation used by the test suite to validate ``exp_integral_e1``.
+Against 40-digit mpmath the series is within 6.7e-16 on 1e5 log-uniform
+points of [1e-12, 1], and the table within 2e-15 on (1, 34].
+Per element on 1e5-element arrays, single-threaded on a 2-CPU Intel Xeon,
+the series takes 13 ns, the table 21 ns and the zero 2 ns.  Of the pairs
+of the 316-, 812- and 3228-vortex grids, 2.3%, 1.4% and 0.6% lie below 1
+and 59%, 35% and 14% on (1, 34].  Both sums go through ``_horner``, which
+sums an array of up to 30 elements in Python floats rather than take two
+numpy calls a step, with the same bits; so an element gets the same bits
+from a call on any size.  A whole E1 call (min of 3000 timings) takes
+7.5, 8.5 and 10.5 us on 1, 3 and 8 elements below 1, 2 to 5 us more than
+a compiled exp1, and 9.7, 10.8 and 13.4 us on the table.  Clenshaw's
+recurrence on the Chebyshev series took 85 us on 3 elements, when numpy
+Horner took 50 us.  ``e1_reference`` provides an independent series /
+continued-fraction evaluation used by the test suite; below 1 it sums
+the same series, so the tests check that regime against mpmath.
 """
 
 from __future__ import annotations
@@ -30,14 +31,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import exp1
 
 from .errors import DomainError
 
 EULER_GAMMA = 0.5772156649015328606
 
-# Upper end of the exp1 regime; the Chebyshev fit covers (1, CUTOFF].
+# Upper end of the series regime; the Chebyshev fit covers (1, CUTOFF].
 SERIES_MAX = 1.0
+
+# E1(x) = -gamma - log x + Ein(x), Ein(x) = sum (-1)^(n+1) x^n / (n n!) (DLMF
+# 6.6.4) to n = 19; on x <= 1 the first dropped term is 1 / (20 20!) ~ 2e-20.
+_EIN_COEF = (-EULER_GAMMA, *((-1) ** (n + 1) / (n * math.factorial(n)) for n in range(1, 20)))
 
 # Hard cutoff: |E1(x)| < 1e-16 for x > 34, below double-precision resolution
 # of the Hamiltonian terms it feeds into.
@@ -162,7 +166,8 @@ def exp_integral_e1(x):
     small = arr <= SERIES_MAX
     mid = ~small & (arr <= CUTOFF)
     if small.any():
-        out[small] = exp1(arr[small])
+        xs = arr[small]
+        out[small] = _horner(xs, _EIN_COEF) - np.log(xs)
     if mid.any():
         out[mid] = _cheb(arr[mid])
     # x > 34 stays exactly zero

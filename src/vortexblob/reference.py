@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as sp_integrate
 
 from .errors import ConfigurationError
 from .model import BlobSystem, State, cutoff, velocity_field
@@ -123,29 +124,22 @@ def spatial_error(system, state, p=3):
 def exact_conserved_integrals(p=3):
     """Conserved integrals of the continuous flow for the (1 - r^2)^p profile.
 
-    Circulation and angular impulse are closed forms; the interaction
-    energy is reduced to a 1-d radial integral using the circular mean
-    of the log kernel (the mean of log|z - z'| over a circle of radius
-    r' is log max(r, r')) and evaluated adaptively.
+    Circulation and angular impulse are closed forms, and so is the
+    interaction energy H: the circular mean of the log kernel (the mean of
+    log|z - z'| over a circle of radius r' is log max(r, r')) and u = r^2
+    reduce it to terms int_0^1 (1 - u)^n log u du = -H_(n+1) / (n+1), H_n
+    the harmonic numbers.  p must be an integer >= 1.
     """
-    if p < 1:
-        raise ConfigurationError("vorticity exponent p must be >= 1")
+    if not isinstance(p, numbers.Integral) or p < 1:
+        raise ConfigurationError("vorticity exponent p must be an integer >= 1")
     gamma = np.pi / (p + 1)
     ell = -np.pi / (2.0 * (p + 1) * (p + 2))
 
-    def inner(r):
-        # int_0^r s (1-s^2)^p ds
-        return (1.0 - (1.0 - r**2) ** (p + 1)) / (2.0 * (p + 1))
-
-    # H = -(1/8pi) iint iint w w' log|z-z'|^2; with the circular mean the
-    # 4-d integral collapses to  -pi int_0^1 r w(r) log(r^2) inner(r) dr
-    def h_integrand(r):
-        if r <= 0.0:
-            return 0.0
-        return r * (1.0 - r**2) ** p * np.log(r**2) * 2.0 * inner(r)
-
-    val, err = sp_integrate.quad(h_integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=200)
-    ham = -np.pi / 2.0 * val
+    # H = -pi / (4 (p+1)) (H_(2p+2) / (2p+2) - H_(p+1) / (p+1)), the difference
+    # taken as one correctly rounded sum of its terms
+    moments = math.fsum([1.0 / (k * (2 * p + 2)) for k in range(1, 2 * p + 3)]
+                        + [-1.0 / (k * (p + 1)) for k in range(1, p + 2)])
+    ham = -np.pi / (4.0 * (p + 1)) * moments
     return gamma, 0.0, 0.0, ell, ham
 
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -147,6 +149,20 @@ class TestOrderCommands:
         _, rows = read_csv(os.path.join(out, "errors.csv"))
         errors = [float(row[2]) for row in rows]
         assert errors[0] > errors[-1] > 0.0
+
+    def test_spatial_order_p_per_order(self, tmp_path):
+        # without --p, m = 6 runs at p = 15 and m = 2 and 4 at 3; an explicit --p
+        # applies to every order; the manifest records what each order ran with
+        rows, ran_with = {}, {}
+        for name, flags in (("default", []), ("p3", ["--p", "3"]), ("p15", ["--p", "15"])):
+            out = str(tmp_path / name)
+            assert main(["spatial-order", "--grids", "4", *flags, "--out", out]) == EXIT_OK
+            rows[name] = {row[0]: row for row in read_csv(os.path.join(out, "errors.csv"))[1]}
+            ran_with[name] = json.load(open(os.path.join(out, "manifest.json")))["p"]
+        assert ran_with == {"default": {"2": 3, "4": 3, "6": 15}, "p3": {"2": 3, "4": 3, "6": 3},
+                            "p15": {"2": 15, "4": 15, "6": 15}}
+        assert [rows["default"][m] for m in "24"] == [rows["p3"][m] for m in "24"]
+        assert rows["p3"]["6"] != rows["default"]["6"] == rows["p15"]["6"]
 
 
 class TestE1Table:
@@ -297,3 +313,23 @@ class TestManifest:
         assert manifest["out"] == out
         for key, value in self.DEFAULTS.get(command, {}).items():
             assert manifest[key] == value
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: with scipy made unimportable, the
+    # CLI imports and toy simulate, e1-table and spatial-order runs exit 0
+    child = """
+import os, sys
+sys.modules["scipy"] = None
+from vortexblob.cli import main
+for argv in (["simulate", "--cells", "3", "--steps", "2"], ["e1-table", "--count", "20"],
+             ["spatial-order", "--grids", "4", "--orders", "2"]):
+    code = main([*argv, "--out", os.path.join(sys.argv[1], argv[0])])
+    if code:
+        sys.exit(f"{argv[0]} exited {code}")
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", child, str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

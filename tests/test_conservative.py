@@ -142,11 +142,11 @@ class TestCTau:
     @pytest.mark.xfail(strict=True, reason="closed form keeps |log xi_k| rounding just above the switch; "
                                            "ROADMAP direction 2 (close pairs from Ein) mends it")
     def test_matches_mpmath_just_above_the_switch(self):
-        # |z - 1| xi_k = 1.07e-4, just over the switch at eps = 1e-4: log z and
+        # |z - 1| xi_k = 1.18e-4, just over the switch at eps = 1e-4: log z and
         # E1(xi_k1) - E1(xi_k) each carry |log xi_k|-sized rounding, and the
-        # closed form is 3.54e-11 from mpmath, outside the bound above
+        # closed form is 2.45e-11 from mpmath, outside the bound above
         mpmath = pytest.importorskip("mpmath")
-        xi_k, xi_k1 = 1.1862684512096847e-4, 2.2539100572984008e-4
+        xi_k, xi_k1 = 1.8164626212140554e-4, 2.9959538858357633e-4
         assert abs(c_tau(2, xi_k, xi_k1) / mpmath_c_tau(mpmath, 2, [xi_k], [xi_k1])[0] - 1.0) <= 2e-11
 
     @pytest.mark.parametrize("m, xi_k, xi_k1", [(4, 1000.0, 100.0), (6, 800.0, 50.0), (6, 760.0, 1.0), (4, 100.0, 1000.0)])

@@ -9,6 +9,7 @@ from vortexblob import expint
 from vortexblob.conservative import _TAYLOR_POLYNOMIALS
 from vortexblob.errors import DomainError
 from vortexblob.expint import (
+    _EIN_COEF,
     _POW_COEF,
     CUTOFF,
     SERIES_MAX,
@@ -53,7 +54,7 @@ def test_exactly_zero_above_cutoff():
 
 
 def test_continuous_across_regime_boundaries():
-    # SERIES_MAX is the seam between scipy's exp1 and the Chebyshev table
+    # SERIES_MAX is the seam between the Ein series and the Chebyshev table
     for boundary in (SERIES_MAX, CUTOFF):
         below = exp_integral_e1(boundary * (1.0 - 1e-12))
         above = exp_integral_e1(boundary * (1.0 + 1e-12))
@@ -97,15 +98,17 @@ def _float_limit(coef):
 FLOAT_LIMIT = _float_limit(_POW_COEF)
 
 
-def test_table_regime_is_size_independent_and_accurate():
-    # 1e5 log-uniform points on (1, 34]: every element gets the same bits
+@pytest.mark.parametrize("lo, hi, bound", [(1e-12, SERIES_MAX, 1e-15), (SERIES_MAX, CUTOFF, 2e-15)],
+                         ids=["series", "table"])
+def test_each_regime_is_size_independent_and_accurate(lo, hi, bound):
+    # 1e5 log-uniform points on (lo, hi]: every element gets the same bits
     # from a call on any size from 1 to 2 FLOAT_LIMIT + 1, across _horner's
     # switch from Python floats to numpy, or on all of them, and each is
-    # within 2e-15 of mpmath
+    # within bound of mpmath (e1_reference sums the same series below 1)
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(11)
-    xs = np.exp(rng.uniform(np.log(SERIES_MAX), np.log(CUTOFF), 100_000))
-    xs = xs[xs > SERIES_MAX]
+    xs = np.exp(rng.uniform(np.log(lo), np.log(hi), 100_000))
+    xs = xs[(xs > lo) & (xs <= hi)]
     vals = exp_integral_e1(xs)
     assert all(exp_integral_e1(float(x)) == v for x, v in zip(xs[:3000], vals[:3000]))
     for size in range(1, 2 * FLOAT_LIMIT + 2):
@@ -113,7 +116,7 @@ def test_table_regime_is_size_independent_and_accurate():
         assert np.array_equal(parts, vals[:len(parts)]), size
     with mpmath.workdps(40):
         refs = np.array([float(mpmath.e1(mpmath.mpf(float(x)))) for x in xs])
-    assert np.abs(vals / refs - 1.0).max() <= 2e-15
+    assert np.abs(vals / refs - 1.0).max() <= bound
 
 
 @settings(max_examples=200, deadline=None)
@@ -135,8 +138,8 @@ def test_strictly_decreasing(x, factor):
 
 def _horner_tables():
     """Every coefficient table the package evaluates with _horner that has a
-    Horner step: E1's, each order's Q, P, R and cutoff S, and the Taylor B_n."""
-    tables = {"e1": _POW_COEF}
+    Horner step: E1's two, each order's Q, P, R and cutoff S, and the Taylor B_n."""
+    tables = {"e1": _POW_COEF, "ein": _EIN_COEF}
     for m, poly in ORDER_POLYNOMIALS.items():
         tables.update({f"q{m}": poly.q, f"p{m}": poly.p, f"r{m}": poly.r, f"s{m}": _CUTOFF_S[m]})
         tables.update({f"b{n}_{m}": b for n, (_, b) in enumerate(_TAYLOR_POLYNOMIALS[m])})

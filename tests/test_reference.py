@@ -132,13 +132,20 @@ class TestExactIntegrals:
         assert ell == pytest.approx(-np.pi / 40.0, rel=1e-14)
 
     def test_interaction_energy_against_independent_quadrature(self):
-        # same reduction evaluated with mpmath's adaptive quadrature
+        # the radial integral before the closed form, by mpmath's adaptive
+        # quadrature at 30 digits
         mpmath = pytest.importorskip("mpmath")
-        p = 3
-        inner = lambda r: (1 - (1 - r**2) ** (p + 1)) / (2 * (p + 1))
-        integrand = lambda r: r * (1 - r**2) ** p * mpmath.log(r**2) * 2 * inner(r)
-        expected = float(-mpmath.pi / 2 * mpmath.quad(integrand, [0, 1]))
-        assert exact_conserved_integrals(p)[4] == pytest.approx(expected, rel=1e-11)
+        for p in (1, 2, 3, 15):
+            inner = lambda r: (1 - (1 - r**2) ** (p + 1)) / (2 * (p + 1))
+            integrand = lambda r: r * (1 - r**2) ** p * mpmath.log(r**2) * 2 * inner(r)
+            with mpmath.workdps(30):
+                expected = float(-mpmath.pi / 2 * mpmath.quad(integrand, [0, 1]))
+            assert exact_conserved_integrals(p)[4] == pytest.approx(expected, rel=1e-15), p
+
+    @pytest.mark.parametrize("p", [0, 2.5])
+    def test_exponent_must_be_a_positive_integer(self, p):
+        with pytest.raises(ConfigurationError):
+            exact_conserved_integrals(p)
 
     def test_discrete_grid_converges_to_integrals(self):
         gamma, _, _, ell, ham = exact_conserved_integrals(3)
