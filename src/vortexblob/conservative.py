@@ -59,7 +59,7 @@ from .model import (
 class CTauParams:
     """Switch parameter for the divided-difference cutoff factor.
 
-    c_tau takes the Taylor form where |z - 1| clip(xi_k, epsilon_switch, 1)
+    c_tau takes the Taylor form where |z - 1| clip(xi_k, epsilon_switch, 2)/2
     <= epsilon_switch; it reads the one instance DEFAULT_CTAU at each call.
     """
 
@@ -102,8 +102,13 @@ def _closed_form(m, w_k, xi_k1, z, s):
     return (np.log(np.abs(z)) + potential_tail(m, xi_k1) - w_k) / s
 
 
+def _band(xi_k, eps):
+    """The c_tau switch band clip(xi_k, eps, 2)/2 of the prev-level xi_k; c_tau's docstring gives the rule."""
+    return np.clip(xi_k, eps, 2.0) / 2.0
+
+
 def _c_tau(m, xi_k, e_k, w_k, band, xi_k1, eps):
-    """c_tau on arrays of pairs from the prev-level terms e_k = exp(-xi_k), w_k = W(xi_k) and band = clip(xi_k, eps, 1).
+    """c_tau on arrays of pairs from the prev-level terms e_k = exp(-xi_k), w_k = W(xi_k) and band = _band(xi_k, eps).
 
     Taylor where |z - 1| band <= eps, the closed form elsewhere; w_k None
     computes W(xi_k) where the closed form is taken.  A chunk that mixes
@@ -161,7 +166,7 @@ def _far_form(m, r2_k, r2_k1, d2, eps):
     log1p(s)/s with s = (r2_k1 - r2_k)/r2_k formed from the difference, so
     that the log and its divisor see one s, and 1 where s == 0.  The pairs
     whose xi_k1 falls to xi_far or below take the full _c_tau (their band
-    clip(xi_k, eps, 1) is 1).
+    is 1).
     """
     s = (r2_k1 - r2_k) / r2_k
     out = np.divide(np.log1p(s), s, out=np.ones_like(s), where=s != 0.0)
@@ -201,13 +206,15 @@ def c_tau(m, xi_k, xi_k1):
 
     Requires xi = (r/delta)^2 > 0 at both levels, as E1 does, and raises
     DomainError otherwise.  With eps = DEFAULT_CTAU.epsilon_switch, uses
-    the truncated Taylor expansion when |xi_k1/xi_k - 1| clip(xi_k, eps, 1)
-    is at most eps, the closed form otherwise: below xi_k = 1 the closed
+    the truncated Taylor expansion when |xi_k1/xi_k - 1| clip(xi_k, eps, 2)/2
+    is at most eps, the closed form otherwise.  Below xi_k = 2 the closed
     form's log z cancels against W(xi_k1) - W(xi_k) and loses about
-    eps |log xi_k| / (xi_k |z - 1|), while the Taylor terms shrink like
-    (xi_k (z - 1))^n.  The Taylor band stops at |z - 1| = 1, where the
-    rounding of its coefficients, about eps (z - 1)^2 / xi_k relative,
-    catches up with the closed form's.  Pairs with xi_k above the order's
+    u |log xi_k| / (xi_k |z - 1|), u the unit roundoff, while the Taylor
+    terms shrink like (xi_k (z - 1))^n; so from xi_k = 2 eps to 2 the Taylor
+    form reaches |xi_k1 - xi_k| = 2 eps.  Below xi_k = 2 eps it stops at
+    |z - 1| = 2, where the rounding of its coefficients, about
+    u (z - 1)^2 / xi_k relative, meets the closed form's: there
+    |z - 1|^3 = |log xi_k|.  Pairs with xi_k above the order's
     far threshold take PrevLevel's far form, log1p(s)/s (_far_threshold
     bounds what it drops).
     """
@@ -224,14 +231,14 @@ def c_tau(m, xi_k, xi_k1):
     out[far] = _far_form(m, xi_k[far], xi_k1[far], 1.0, eps)
     near = ~far
     a = xi_k[near]
-    out[near] = _c_tau(m, a, np.exp(-a), None, np.clip(a, eps, 1.0), xi_k1[near], eps)
+    out[near] = _c_tau(m, a, np.exp(-a), None, _band(a, eps), xi_k1[near], eps)
     return float(out[0]) if scalar else out
 
 
 # The two parts of a prev-level chunk: pairs i < j at nonzero distance in
 # the triangle's order, so sorted by i, with their differences dx, dy and
 # r2.  A near pair (xi = r2/delta^2 at most xi_far) also holds e = exp(-xi),
-# w = W(xi), the potential_tail, and the c_tau switch band clip(xi, eps, 1);
+# w = W(xi), the potential_tail, and the c_tau switch band _band(xi, eps);
 # a far pair's c_tau needs r2 alone.
 _NearPairs = namedtuple("_NearPairs", "i j dx dy r2 e w band")
 _FarPairs = namedtuple("_FarPairs", "i j dx dy r2")
@@ -243,36 +250,23 @@ _Part = namedtuple("_Part", "pairs rows starts")
 def _prev_parts(system, prev, i, j, eps):
     """The near and far parts of the pairs (i, j) at the prev level, less those at zero distance.
 
-    Both parts are rows of one float64 block (i and j viewed as intp), so
-    that the chunk is allocated and freed in one piece; a part without
-    pairs is left out.  Each part comes with its row segments, found once.
+    A part without pairs is left out.  Each part comes with its row
+    segments, found once.
     """
     dx, dy, r2, keep = pair_differences(system, prev.x, prev.y, i, j)
     pairs = drop_coincident(keep, i, j, dx, dy, r2)
     xi = pairs[4] / system.delta**2
     far = xi > _XI_FAR[system.m]
-    near_idx, far_idx = (~far).nonzero()[0], far.nonzero()[0]
-    block = np.empty(8 * near_idx.size + 5 * far_idx.size)
-    parts, start = [], 0
-    for kind, idx in ((_NearPairs, near_idx), (_FarPairs, far_idx)):
+    parts = []
+    for kind, idx in ((_NearPairs, np.flatnonzero(~far)), (_FarPairs, np.flatnonzero(far))):
         if not idx.size:
             continue
-        stop = start + len(kind._fields) * idx.size
-        rows = block[start:stop].reshape(-1, idx.size)
-        start = stop
-        cols = [*rows[:2].view(np.intp), *rows[2:]]
-        for col, a in zip(cols, (*pairs, xi)):  # a far pair takes no xi
-            col[...] = a[idx]
-        if kind is _NearPairs:  # xi sits in e's row until W and the band are formed
-            xi_k = cols[5]
-            cols[6][...] = potential_tail(system.m, xi_k)
-            np.clip(xi_k, eps, 1.0, out=cols[7])
-            np.exp(np.negative(xi_k, out=xi_k), out=xi_k)
+        cols = [a[idx] for a in pairs]
+        if kind is _NearPairs:
+            xi_k = xi[idx]
+            cols += [np.exp(-xi_k), potential_tail(system.m, xi_k), _band(xi_k, eps)]
         p = kind(*cols)
-        new_row = np.empty(idx.size, bool)
-        new_row[0] = True
-        np.not_equal(p.i[1:], p.i[:-1], out=new_row[1:])
-        starts = new_row.nonzero()[0]
+        starts = np.flatnonzero(np.concatenate(([True], p.i[1:] != p.i[:-1])))
         parts.append(_Part(p, p.i[starts], starts))
     return parts
 
@@ -301,14 +295,6 @@ class PrevLevel:
     np.add.reduceat per component (a 64k-pair chunk: 0.25 ns a pair,
     against 3.7 ns for np.bincount over the sorted i, whose adds wait on each
     other), the j-side stays on np.bincount.
-
-    Each chunk is one block, both parts rows of it, so it is allocated and
-    freed in one piece.  Freeing a block of a few MB raises glibc's mmap and
-    trim thresholds to its size, so the tile-sized temporaries of the
-    iterates, the fields and later levels reuse heap pages instead of being
-    trimmed and faulted in again.  Held as separate arrays, a level left a
-    grid20 dmm step about 20 000 page faults and an rhs call at M = 812
-    about 5900, which doubled its time.
     """
 
     def __init__(self, system, prev):

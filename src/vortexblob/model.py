@@ -26,7 +26,9 @@ Horner, which E1's table also uses.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -166,6 +168,19 @@ class ConservedSet:
 _TILE = 65_536
 
 
+@functools.cache
+def _grow_heap():
+    """Allocate and free one 8 MiB block, once, before the first pair traversal.
+
+    glibc serves a block this large by mmap, and freeing it raises the mmap
+    threshold to its size and the trim threshold to twice that; from then on
+    every tile temporary (at most 512 KiB) and every part a conservative step
+    holds comes from a heap that stays grown, instead of being trimmed and
+    page-faulted in again on each call.  Other allocators do not react.
+    """
+    np.empty(1 << 20)
+
+
 def pair_blocks(system, state, points=None):
     """The one pair traversal: yield (rows, dx, dy, r2) over row blocks.
 
@@ -174,6 +189,7 @@ def pair_blocks(system, state, points=None):
     points are the vortices themselves: r2 is then 0 on the diagonal, and a
     strength-bearing pair at zero distance raises PairDegeneracyError.
     """
+    _grow_heap()
     px, py = (state.x, state.y) if points is None else points
     step = max(1, _TILE // max(1, system.size))  # rows of at most _TILE entries, or one row if it holds more
     for start in range(0, px.size, step):
@@ -197,6 +213,7 @@ def triangle_blocks(n, start=0):
     A chunk covers whole rows and at most _TILE pairs, or one row if that
     row alone holds more.
     """
+    _grow_heap()
     while start < n - 1:
         counts = np.arange(n - 1 - start, 0, -1)  # pairs in rows start, ..., n - 2
         ends = np.cumsum(counts)
@@ -367,8 +384,8 @@ def init_grid(cells_per_side, p=3, q=0.75, m=4, prune_zero=False):
     With prune_zero, zero-strength vortices are dropped (they are advected
     passively and contribute nothing to dynamics or conserved quantities).
     """
-    if cells_per_side < 1:
-        raise ConfigurationError("cells_per_side must be >= 1")
+    if not isinstance(cells_per_side, numbers.Integral) or cells_per_side < 1:
+        raise ConfigurationError(f"cells_per_side must be an integer >= 1, got {cells_per_side!r}")
     h = 2.0 / cells_per_side
     centers = -1.0 + h * (np.arange(cells_per_side) + 0.5)
     gx, gy = np.meshgrid(centers, centers, indexing="ij")

@@ -153,12 +153,14 @@ class OrderFit:
 
 
 def fit_order(points):
-    """Fit error = C * scale^slope through >= 3 positive (scale, error) pairs."""
+    """Fit error = C * scale^slope through >= 3 positive (scale, error) pairs, at two or more scales."""
     pts = [(float(s), float(e)) for s, e in points]
     if len(pts) < 3:
         raise ConfigurationError("order fit needs at least 3 points")
     if any(s <= 0 or e <= 0 for s, e in pts):
         raise ConfigurationError("order fit needs positive scales and errors")
+    if len({s for s, _ in pts}) < 2:
+        raise ConfigurationError("order fit needs at least 2 distinct scales")
     logs = np.log([s for s, _ in pts])
     loge = np.log([e for _, e in pts])
     slope, intercept = np.polyfit(logs, loge, 1)

@@ -149,7 +149,7 @@ def test_criterion_6_discrete_multiplier_identities():
         if trial % 2 == 0:
             spread = 0.1  # generic pairs, closed-form branch dominates
         else:
-            spread = 1e-6  # forces |z - 1| <= 1e-4: Taylor branch
+            spread = 1e-6  # |z - 1| near 1e-6 for most pairs, inside the Taylor band
         cand = State(x=x + spread * rng.uniform(-1, 1, 5),
                      y=y + spread * rng.uniform(-1, 1, 5))
         res1, res2 = discrete_multiplier_residuals(system, prev, cand, 0.25)

@@ -141,6 +141,12 @@ class TestOrderCommands:
         assert [row[0] for row in rows] == ["4"]
         assert not os.path.exists(os.path.join(out, "slopes.csv"))
 
+    @pytest.mark.parametrize("args", [["temporal-order", "--taus", "0.1", "0.1", "0.1", "--t-final", "0.2"],
+                                      ["spatial-order", "--grids", "4", "4", "4", "--tau", "0.1", "--t-final", "0.1"]])
+    def test_repeated_scale_is_usage_error(self, tmp_path, args):
+        # three points at one scale have no slope to fit
+        assert main([*args, "--orders", "2", "--out", str(tmp_path / "same")]) == EXIT_USAGE
+
     def test_spatial_order_runs_small(self, tmp_path):
         out = str(tmp_path / "spat")
         code = main(["spatial-order", "--grids", "4", "8", "16", "--orders", "2",

@@ -77,13 +77,14 @@ class TestCTau:
             assert slope == pytest.approx(3.0, abs=0.2)
 
     def test_branch_switch_is_continuous(self, monkeypatch):
-        # force each branch at the same argument by moving the switch point
+        # force each branch at the same argument by moving the switch point; at
+        # xi_k = 2 the band is 1, so the switch sits at |z - 1| = eps
         z1 = 1.0 + 1e-4
         for m in (2, 4, 6):
             monkeypatch.setattr(vortexblob.conservative, "DEFAULT_CTAU", CTauParams(epsilon_switch=2e-4))
-            taylor = c_tau(m, 1.0, z1)
+            taylor = c_tau(m, 2.0, 2.0 * z1)
             monkeypatch.setattr(vortexblob.conservative, "DEFAULT_CTAU", CTauParams(epsilon_switch=0.5e-4))
-            closed = c_tau(m, 1.0, z1)
+            closed = c_tau(m, 2.0, 2.0 * z1)
             assert taylor == pytest.approx(closed, rel=1e-10)
 
     def test_shrinking_step_contracts_toward_cutoff(self):
@@ -108,7 +109,7 @@ class TestCTau:
         xi_k = np.array([0.5, 1.0, 2.0, 2.0, 5.0, 0.7, 40.0, 3e-5, 5e-6, 8e-5, 1.5, 30.0, 35.0])
         xi_k1 = np.array([0.6, 1.0 + 1e-6, 1.9, 2.0, 3.0, 0.7, 40.0, 4.5e-5, 2.5e-5, 8e-5, 1.5 * (1.0 - 3e-5), 36.0, 33.0])
         eps = DEFAULT_CTAU.epsilon_switch
-        near = np.abs(xi_k1 / xi_k - 1.0) * np.clip(xi_k, eps, 1.0) <= eps
+        near = np.abs(xi_k1 / xi_k - 1.0) * np.clip(xi_k, eps, 2.0) / 2.0 <= eps
         assert 3 <= near.sum() <= xi_k.size - 3
         for m in (2, 4, 6):
             out = c_tau(m, xi_k, xi_k1)
@@ -116,7 +117,7 @@ class TestCTau:
             assert np.array_equal(out, [c_tau(m, float(a), float(b)) for a, b in zip(xi_k, xi_k1)])
 
     def test_matches_mpmath_on_close_pairs(self):
-        # below xi_k = 1 the closed form's log z cancels against W(xi_k1) - W(xi_k)
+        # below xi_k = 2 the closed form's log z cancels against W(xi_k1) - W(xi_k)
         # and loses about eps |log xi_k| / (xi_k |z - 1|): the switch must hand those
         # pairs to the Taylor form.  |z - 1| and xi_k log-uniform on [1e-7, 0.1] x [1e-4, 40]
         # within 2e-11.  Below xi_k = 1e-4 c_0 = 1 - Q exp(-xi_k) itself loses eps / xi_k,
@@ -139,12 +140,22 @@ class TestCTau:
             bound = 2e-14 / (xi_k * np.maximum(1.0, np.abs(s)))
             assert np.all(relative_error(xi_k, xi_k * (1.0 + s)) <= bound)
 
-    @pytest.mark.xfail(strict=True, reason="closed form keeps |log xi_k| rounding just above the switch; "
-                                           "ROADMAP direction 2 (close pairs from Ein) mends it")
+        # the edge of the band, where |log xi_k| is large: xi_k log-uniform on
+        # [1e-4, 1e-2] and |xi_k1 - xi_k| on [1e-4, 4e-4], across the switch at
+        # 2 eps, within 1.5e-11 (a switch at |xi_k1 - xi_k| = eps left the closed
+        # form up to 2.6e-11 off here)
+        for m in (2, 4, 6):
+            xi_k = 10.0 ** rng.uniform(-4.0, -2.0, 1000)
+            xi_k1 = xi_k + 10.0 ** rng.uniform(-4.0, np.log10(4e-4), 1000)
+            swap = rng.random(1000) < 0.5
+            xi_k[swap], xi_k1[swap] = xi_k1[swap], xi_k[swap]
+            want = mpmath_c_tau(mpmath, m, xi_k, xi_k1)
+            assert np.abs(c_tau(m, xi_k, xi_k1) / want - 1.0).max() <= 1.5e-11
+
     def test_matches_mpmath_just_above_the_switch(self):
-        # |z - 1| xi_k = 1.18e-4, just over the switch at eps = 1e-4: log z and
-        # E1(xi_k1) - E1(xi_k) each carry |log xi_k|-sized rounding, and the
-        # closed form is 2.45e-11 from mpmath, outside the bound above
+        # |z - 1| xi_k = 1.18e-4, just over a switch at |xi_k1 - xi_k| = eps: there
+        # log z and E1(xi_k1) - E1(xi_k) each carry |log xi_k|-sized rounding, and
+        # the closed form was 2.45e-11 from mpmath; the band takes it to 2 eps
         mpmath = pytest.importorskip("mpmath")
         xi_k, xi_k1 = 1.8164626212140554e-4, 2.9959538858357633e-4
         assert abs(c_tau(2, xi_k, xi_k1) / mpmath_c_tau(mpmath, 2, [xi_k], [xi_k1])[0] - 1.0) <= 2e-11
@@ -352,7 +363,7 @@ class TestDenseReference:
         if n == 7:  # both branches of c_tau are taken
             xi_k, xi_k1 = self.xi_levels(system, prev, cand)
             eps = DEFAULT_CTAU.epsilon_switch
-            near = np.abs(xi_k1 / xi_k - 1.0) * np.clip(xi_k, eps, 1.0) <= eps
+            near = np.abs(xi_k1 / xi_k - 1.0) * np.clip(xi_k, eps, 2.0) / 2.0 <= eps
             assert near.any() and not near.all()
 
     @pytest.mark.parametrize("held_pairs", [None, 8])

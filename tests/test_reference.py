@@ -194,3 +194,5 @@ class TestMetricsAndFit:
             fit_order([(0.1, 1.0), (0.2, 2.0)])
         with pytest.raises(ConfigurationError):
             fit_order([(0.1, 1.0), (0.2, 2.0), (-0.3, 1.0)])
+        with pytest.raises(ConfigurationError):  # one scale: no slope, where polyfit would give one
+            fit_order([(0.1, 1.0), (0.1, 2.0), (0.1, 3.0)])
