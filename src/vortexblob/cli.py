@@ -17,8 +17,8 @@ run also writes a JSON manifest holding the subcommand's parsed flags
 plus the run's own results and its wall time in seconds.  Exit codes:
 0 success, 2 usage error, 3 solver failure (naming the failing step,
 "solver failure: step k:"), 4 degeneracy (a coincident pair,
-"degeneracy error:") or domain error (a non-finite invariant,
-"domain error:").
+"degeneracy error:") or domain error (a non-finite invariant or an
+explicit step's overflowing pair distance, "domain error:").
 """
 
 from __future__ import annotations

@@ -228,10 +228,10 @@ def c_tau(m, xi_k, xi_k1):
     eps = DEFAULT_CTAU.epsilon_switch
     out = np.empty(xi_k.shape)
     far = xi_k > _XI_FAR[m]
-    out[far] = _far_form(m, xi_k[far], xi_k1[far], 1.0, eps)
-    near = ~far
+    near, far = np.flatnonzero(~far), np.flatnonzero(far)
     a = xi_k[near]
     out[near] = _c_tau(m, a, np.exp(-a), None, _band(a, eps), xi_k1[near], eps)
+    out[far] = _far_form(m, xi_k[far], xi_k1[far], 1.0, eps)
     return float(out[0]) if scalar else out
 
 

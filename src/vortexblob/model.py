@@ -10,18 +10,23 @@ exp(-r2/delta^2)`` is the smoothing cutoff of order m in {2, 4, 6}.
 The flow conserves the linear impulses, the angular impulse, and a
 Hamiltonian built from log and exponential-integral terms.
 
-Every O(M^2) sum of the package runs over one of two traversals here,
-both of which check for coincident strength-bearing vortices and touch at
-most ``_TILE`` pair entries at a time, so each temporary stays cache-sized:
-the row blocks of points x vortices, ``pair_blocks``, for the fields
-(``rhs``, ``velocity_field``, ``blob_vorticity``); and the chunked
-vortex-pair triangle i < j, ``triangle_blocks`` with ``pair_differences``,
-for every sum over pairs (the Hamiltonian in ``conserved`` and the
-conservative scheme's f_tau), each of which leaves out the zero-distance
-pairs of a zero-strength vortex by ``drop_coincident``.  The multiplier of the conservation laws is
-built from a vector field by ``multiplier``.  Every per-order polynomial
-is evaluated by :func:`vortexblob.expint._horner`, the package's one
-Horner, which E1's table also uses.
+Every O(M^2) sum of the package runs over one of three traversals here,
+each of which touches at most ``_TILE`` pair entries at a time, so its
+temporaries stay cache-sized.  ``pair_blocks`` without points yields the
+band of the vortex-vortex matrix for ``rhs``: chunks of ``_BAND_ROWS``
+rows, each against the columns from its first vortex on, so each pair's
+cutoff is formed once (twice inside a chunk) and serves both of its
+vortices.  ``pair_blocks`` with points yields points x vortices for the
+fields ``velocity_field`` and ``blob_vorticity``.  The chunked vortex-pair
+triangle i < j, ``triangle_blocks`` with ``pair_differences``, serves every
+sum over pairs (the Hamiltonian in ``conserved`` and the conservative
+scheme's f_tau), each of which leaves out the zero-distance pairs of a
+zero-strength vortex by ``drop_coincident``.  The band and the triangle
+raise PairDegeneracyError on coincident strength-bearing vortices.  The
+multiplier of the conservation laws is built from a vector field by
+``multiplier``.  Every per-order polynomial is evaluated by
+:func:`vortexblob.expint._horner`, the package's one Horner, which E1's
+table also uses.
 """
 
 from __future__ import annotations
@@ -94,12 +99,11 @@ def cutoff_over_r2(m, r2, delta):
     evaluated without cancellation, and the first tends to 1 at xi = 0.
     """
     _check_order(m)
-    xi = np.asarray(r2, dtype=float) / delta**2
-    minus_xi = -xi
-    out = np.divide(-np.expm1(minus_xi), xi, out=np.ones_like(xi), where=xi > 0)
+    minus_xi = np.asarray(r2, dtype=float) / -(delta**2)
+    out = np.divide(np.expm1(minus_xi), minus_xi, out=np.ones_like(minus_xi), where=minus_xi < 0.0)
     s = _CUTOFF_S[m]
     if s:
-        out += _horner(xi, s) * np.exp(minus_xi)
+        out += _horner(-minus_xi, s) * np.exp(minus_xi)
     out /= delta**2
     return float(out) if out.ndim == 0 else out
 
@@ -166,6 +170,12 @@ class ConservedSet:
 # traversals were fastest at 16k-64k entries and triangle chunks at about
 # 64k pairs (smaller chunks pay Python per-chunk overhead).
 _TILE = 65_536
+# Rows per chunk of the band: a chunk of B rows also forms the B(B - 1)/2
+# pairs of its own square twice, while fewer rows pay more per-block calls.
+# It is fixed, not set by _TILE, so that each vortex's sum keeps its order.
+# Single-threaded on a shared 2-CPU Xeon, chunks of 32 / 64 / 128 rows took
+# 0.84 / 0.80 / 0.90 ms an rhs at M = 316 and 4.8 / 4.9 / 5.2 ms at M = 812.
+_BAND_ROWS = 64
 
 
 @functools.cache
@@ -182,29 +192,52 @@ def _grow_heap():
 
 
 def pair_blocks(system, state, points=None):
-    """The one pair traversal: yield (rows, dx, dy, r2) over row blocks.
+    """The one traversal of pair differences by row blocks: yield (rows, d, r2).
 
-    dx, dy are the differences of the points (px, py) from the vortices and
-    r2 their squared distances, (block, M) arrays.  Without points, the
-    points are the vortices themselves: r2 is then 0 on the diagonal, and a
-    strength-bearing pair at zero distance raises PairDegeneracyError.
+    d = (-dy, dx) stacks the differences (dx, dy) of the block's points
+    from its vortices turned a quarter turn, the direction of the kernel K,
+    and r2 is their squared distances, (2, block, cols) and (block, cols)
+    arrays of at most _TILE entries a plane, or one row if it holds more.
+    With points (px, py), the points against every vortex.  Without points,
+    the band of the vortex-vortex matrix: the rows fall in chunks of
+    _BAND_ROWS vortices (all of them if fewer), and a block, rows =
+    slice(a, b) of the chunk that starts at vortex c, runs against the
+    columns [c, M), so its entries [k, a - c + k] are the diagonal, r2 = 0.
+    A strength-bearing pair at zero distance raises PairDegeneracyError,
+    and an r2 that overflows raises DomainError.
     """
     _grow_heap()
-    px, py = (state.x, state.y) if points is None else points
-    step = max(1, _TILE // max(1, system.size))  # rows of at most _TILE entries, or one row if it holds more
-    for start in range(0, px.size, step):
-        sl = slice(start, min(start + step, px.size))
-        dx = px[sl, None] - state.x[None, :]
-        dy = py[sl, None] - state.y[None, :]
-        r2 = dx * dx + dy * dy
-        if points is None and np.count_nonzero(r2 == 0.0) > r2.shape[0]:  # a zero off the diagonal
-            live = system.kappa != 0.0
-            bad = (r2 == 0.0) & live[sl, None] & live[None, :]
-            bad[np.arange(r2.shape[0]), np.arange(sl.start, sl.stop)] = False
-            if bad.any():
-                bi, j = np.argwhere(bad)[0]
-                raise PairDegeneracyError(sl.start + bi, j)
-        yield sl, dx, dy, r2
+    n = system.size
+    xy = np.array((-state.y, state.x))
+    if points is not None:
+        pxy = np.array((-points[1], points[0]))
+        step = max(1, _TILE // max(1, n))
+        for start in range(0, pxy.shape[1], step):
+            sl = slice(start, min(start + step, pxy.shape[1]))
+            d = pxy[:, sl, None] - xy[:, None, :]
+            dd = d * d
+            yield sl, d, dd[0] + dd[1]
+        return
+    width = min(_BAND_ROWS, n) or 1
+    step = max(1, min(_BAND_ROWS, _TILE // max(1, n)))
+    for c in range(0, n, width):
+        for a in range(c, min(c + width, n), step):
+            b = min(a + step, c + width, n)
+            try:
+                with np.errstate(over="raise"):
+                    d = xy[:, a:b, None] - xy[:, None, c:]
+                    dd = d * d
+                    r2 = dd[0] + dd[1]
+            except FloatingPointError:
+                raise DomainError(f"the squared distances of vortices {a}-{b - 1} overflow") from None
+            if r2.size - np.count_nonzero(r2) > b - a:  # a zero off the diagonal
+                live = system.kappa != 0.0
+                bad = (r2 == 0.0) & live[a:b, None] & live[None, c:]
+                bad[np.arange(b - a), np.arange(a - c, b - c)] = False
+                if bad.any():
+                    bi, bj = np.argwhere(bad)[0]
+                    raise PairDegeneracyError(a + bi, c + bj)
+            yield slice(a, b), d, r2
 
 
 def triangle_blocks(n, start=0):
@@ -257,29 +290,43 @@ def drop_coincident(keep, *arrays):
     return tuple(a[keep] for a in arrays)
 
 
-def _velocities(system, state, points=None):
-    """Velocities (u, v) at the points (px, py), or at the vortices themselves without points.
-
-    u_i = -sum_j w_ij s_j dy_ij and v_i = sum_j w_ij s_j dx_ij over each row
-    block, with pair weight w = C(r2)/r2 and s = kappa / (2 pi).
-    """
-    n = system.size if points is None else points[0].size
-    u, v = np.empty(n), np.empty(n)
-    scale = system.kappa / (2.0 * np.pi)
-    for sl, dx, dy, r2 in pair_blocks(system, state, points):
-        w = cutoff_over_r2(system.m, r2, system.delta) * scale[None, :]
-        u[sl], v[sl] = -(w * dy).sum(axis=1), (w * dx).sum(axis=1)
-    return u, v
-
-
 def rhs(system, state):
     """Right-hand side of the vortex-blob ODEs.
 
-    Returns (xdot, ydot).  The factor C(r^2)/r^2 is finite through r = 0,
-    so the velocities are finite and smooth for close (zero-strength)
-    pairs; the self-term vanishes because dx = dy = 0 on the diagonal.
+    Returns (xdot, ydot) = sum_j s_j w_ij (-dy_ij, dx_ij), with pair weight
+    w = C(r2)/r2 and s = kappa / (2 pi).  Over the band, vortex i takes the
+    pairs of the columns from its chunk's first vortex on by its row, summed
+    pairwise; the weight is symmetric and dx, dy antisymmetric, so the same
+    entries serve the vortices past the chunk by their columns, summed in
+    row order and chunk by chunk.  Each vortex's terms so meet in an order
+    the block size does not change.  C(r^2)/r^2 is finite through r = 0, so
+    the velocities are finite and smooth for close (zero-strength) pairs;
+    the self-term vanishes because dx = dy = 0 on the diagonal.
     """
-    return _velocities(system, state)
+    n = system.size
+    s = system.kappa / (2.0 * np.pi)
+    vel = np.empty((2, n))
+    # sum over j in the chunks before i's of s_j w_ji (-dy_ji, dx_ji)
+    cols = np.zeros((2, n)) if n > _BAND_ROWS else None
+    for sl, d, r2 in pair_blocks(system, state):
+        a, b = sl.start, sl.stop
+        c = n - r2.shape[1]
+        w = cutoff_over_r2(system.m, r2, system.delta)
+        np.add.reduce((w * s[c:]) * d, axis=2, out=vel[:, sl])
+        if c:  # the chunks before this one are done
+            vel[:, sl] -= cols[:, sl]
+        if c + _BAND_ROWS < n:  # the columns past the chunk take these pairs too
+            # the chunk's sums so far, then the block's rows, stacked first:
+            # numpy sums along a leading axis in order, so each column's sum
+            # keeps its order whatever the block size
+            terms = np.empty((1 + b - a, 2, n - c - _BAND_ROWS))
+            terms[0] = part if a > c else 0.0
+            ws = w[:, _BAND_ROWS:] * s[sl, None]
+            np.multiply(ws[:, None], d[:, :, _BAND_ROWS:].transpose(1, 0, 2), out=terms[1:])
+            part = np.add.reduce(terms)
+            if b == c + _BAND_ROWS:
+                cols[:, b:] += part
+    return vel[0], vel[1]
 
 
 def _points(z):
@@ -297,7 +344,11 @@ def velocity_field(system, state, z):
     has the same leading shape.
     """
     single, points = _points(z)
-    out = np.column_stack(_velocities(system, state, points))
+    out = np.empty((points[0].size, 2))
+    scale = system.kappa / (2.0 * np.pi)
+    for sl, d, r2 in pair_blocks(system, state, points):
+        w = cutoff_over_r2(system.m, r2, system.delta) * scale[None, :]
+        out[sl] = np.add.reduce(w * d, axis=2).T
     return out[0] if single else out
 
 
@@ -305,7 +356,7 @@ def blob_vorticity(system, state, z):
     """Smoothed vorticity field at evaluation points z."""
     single, points = _points(z)
     out = np.empty(points[0].size)
-    for sl, _, _, r2 in pair_blocks(system, state, points):
+    for sl, _, r2 in pair_blocks(system, state, points):
         xi = r2 / system.delta**2
         zeta = p_polynomial(system.m, xi) * np.exp(-xi) / system.delta**2
         out[sl] = (zeta * system.kappa[None, :]).sum(axis=1)

@@ -1,5 +1,6 @@
 """Blob kernels, dynamics, conserved quantities, and grid setup."""
 
+import math
 import os
 import platform
 import subprocess
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 
 import vortexblob.model
 from vortexblob.conservative import dmm_rhs
-from vortexblob.errors import ConfigurationError, DomainError, PairDegeneracyError
+from vortexblob.errors import ConfigurationError, DomainError, PairDegeneracyError, SolverFailureError
+from vortexblob.integrators import integrate
 from vortexblob.model import (
     ORDER_POLYNOMIALS,
+    SUPPORTED_ORDERS,
     BlobSystem,
     State,
     blob_vorticity,
@@ -314,6 +317,92 @@ class TestRowBlocks:
             with pytest.raises(PairDegeneracyError) as exc:
                 call()
             assert {exc.value.i, exc.value.j} == {4, 5}
+
+
+class TestBand:
+    """rhs over the band of the vortex-vortex matrix: chunks of 64 rows against the columns from their first vortex on."""
+
+    @staticmethod
+    def direct(system, state):
+        # every ordered pair (i, j), summed exactly per vortex
+        n = system.size
+        s = system.kappa / (2.0 * np.pi)
+        u, v = np.zeros(n), np.zeros(n)
+        for i in range(n):
+            dx, dy = state.x[i] - state.x, state.y[i] - state.y
+            w = cutoff_over_r2(system.m, dx * dx + dy * dy, system.delta) * s
+            u[i] = -math.fsum(w[j] * dy[j] for j in range(n))
+            v[i] = math.fsum(w[j] * dx[j] for j in range(n))
+        return np.concatenate((u, v))
+
+    @staticmethod
+    def assert_close(got, want, rel=1e-14):
+        assert np.abs(got - want).max(initial=0.0) <= rel * np.abs(want).max(initial=0.0)
+
+    @pytest.mark.parametrize("tile", [None, 1, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 129, 300])
+    def test_rhs_matches_double_loop(self, n, tile, monkeypatch):
+        # 64, 65 and 129 vortices put one and two chunk edges at the default tile
+        if tile is not None:
+            monkeypatch.setattr(vortexblob.model, "_TILE", tile)
+        system, state = random_system(np.random.default_rng(n), n, m=SUPPORTED_ORDERS[n % 3], delta=0.3)
+        self.assert_close(np.concatenate(rhs(system, state)), self.direct(system, state))
+
+    @pytest.mark.parametrize("tile", [1, 1_000, 4_000])
+    @pytest.mark.parametrize("n", [65, 130, 300])
+    def test_rhs_does_not_depend_on_the_tile(self, n, tile, monkeypatch):
+        # blocks of 1, 15 / 7 / 3 and 61 / 30 / 13 rows split the 64-row chunks
+        system, state = random_system(np.random.default_rng(n), n, m=4, delta=0.3)
+        whole = np.concatenate(rhs(system, state))
+        monkeypatch.setattr(vortexblob.model, "_TILE", tile)
+        assert np.array_equal(np.concatenate(rhs(system, state)), whole)
+
+    @staticmethod
+    def coincident(pairs, zero=()):
+        # 130 vortices, two band chunks: rows 0-63 and 64-129
+        system, state = random_system(np.random.default_rng(5), 130, m=4, delta=0.3)
+        kappa, x, y = system.kappa.copy(), state.x.copy(), state.y.copy()
+        kappa[list(zero)] = 0.0
+        for i, j in pairs:
+            x[j], y[j] = x[i], y[i]
+        return BlobSystem(m=4, h=1.0, delta=0.3, kappa=kappa), State(x=x, y=y)
+
+    def test_zero_strength_coincident_pairs_are_finite(self):
+        # (10, 20) inside the first chunk's square, (30, 100) across the two chunks
+        system, state = self.coincident([(10, 20), (30, 100)], zero=(20, 30))
+        got = np.concatenate(rhs(system, state))
+        assert np.isfinite(got).all()
+        self.assert_close(got, self.direct(system, state))
+
+    @pytest.mark.parametrize("pair", [(5, 40), (5, 100), (70, 129)])
+    def test_coincident_strength_pair_raises(self, pair):
+        system, state = self.coincident([pair])
+        with pytest.raises(PairDegeneracyError) as exc:
+            rhs(system, state)
+        assert {exc.value.i, exc.value.j} == set(pair)
+
+    def test_impulse_rates_vanish(self):
+        # d/dt sum kappa y = sum kappa v and the like: zero, the band's antisymmetric sums to roundoff
+        system, state = random_system(np.random.default_rng(11), 300, m=6, delta=0.3)
+        u, v = rhs(system, state)
+        k = system.kappa
+        assert abs(k @ u) <= 1e-14 * (np.abs(k) @ np.abs(u))
+        assert abs(k @ v) <= 1e-14 * (np.abs(k) @ np.abs(v))
+
+    def test_overflowing_r2_raises_domain_error(self):
+        system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=[1.0, -1.0, 0.5])
+        with pytest.raises(DomainError, match="overflow"):
+            rhs(system, State(x=[0.0, 1e200, -1e200], y=[0.0, 0.0, 0.0]))
+
+    def test_overflowing_imm_iterate_stops_at_once(self):
+        # the Euler step is finite; the second iterate's midpoint overflows r2 in rhs
+        rng = np.random.default_rng(0)
+        system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=rng.uniform(-1.0, 1.0, 3))
+        state = State(x=rng.uniform(-1.0, 1.0, 3), y=rng.uniform(-1.0, 1.0, 3))
+        with pytest.raises(SolverFailureError) as exc:
+            integrate(system, state, 1e200, 3, "imm")
+        assert exc.value.iterations == 2 and exc.value.step_index == 1
+        assert isinstance(exc.value.__cause__, DomainError)
 
 
 class TestTriangleBlocks:
