@@ -7,10 +7,10 @@ blob order m.
 """
 
 from vortexblob import (
+    advance,
     fit_order,
     four_vortex_exact,
     four_vortex_ring,
-    integrate,
     temporal_error,
 )
 
@@ -20,7 +20,7 @@ for m in (2, 4, 6):
     points = []
     for tau in (0.5, 0.25, 0.125, 0.0625):
         n = int(round(T / tau))
-        _, final = integrate(system, state, tau, n, "dmm")
+        final = advance(system, state, tau, n, "dmm")
         points.append((tau, temporal_error(final, four_vortex_exact(T, m))))
     fit = fit_order(points)
     errs = "  ".join(f"{e:.3e}" for _, e in points)

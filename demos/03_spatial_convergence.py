@@ -9,13 +9,13 @@ Finer grids than shown here get closer to the asymptotic order.
 
 import numpy as np
 
-from vortexblob import init_grid, integrate, spatial_error
+from vortexblob import advance, init_grid, spatial_error
 
 for m, p in ((2, 3), (4, 3), (6, 15)):
     errors = []
     for cells in (8, 16, 32):
         system, state = init_grid(cells, p=p, q=0.75, m=m, prune_zero=True)
-        _, final = integrate(system, state, 0.001, 1, "dmm")
+        final = advance(system, state, 0.001, 1, "dmm")
         errors.append((system.h, spatial_error(system, final, p=p)))
     ratios = [np.log2(errors[i][1] / errors[i + 1][1]) for i in range(len(errors) - 1)]
     shown = "  ".join(f"h={h:.3f}: {e:.3e}" for h, e in errors)

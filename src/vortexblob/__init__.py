@@ -9,7 +9,7 @@ The package provides:
 * :mod:`vortexblob.conservative` -- the discrete vector field of the
   conservative scheme, built from divided differences of the pair potential,
 * :mod:`vortexblob.integrators` -- the explicit Runge-Kutta methods, the
-  implicit midpoint and conservative steps, and the trajectory driver,
+  implicit midpoint and conservative steps, and the trajectory drivers,
 * :mod:`vortexblob.reference` -- exact reference solutions, error metrics,
   quadrature, and order fitting,
 * :mod:`vortexblob.cli` -- the batch experiment command-line driver.
@@ -37,6 +37,7 @@ from .integrators import (
     RunRecord,
     SolverConfig,
     StepOutcome,
+    advance,
     dmm_step,
     imm_step,
     integrate,
@@ -87,6 +88,7 @@ __all__ = [
     "State",
     "StepOutcome",
     "VortexBlobError",
+    "advance",
     "blob_vorticity",
     "c_tau",
     "c_tau_closed",

@@ -41,7 +41,7 @@ from .errors import (
     SolverFailureError,
 )
 from .expint import CUTOFF, e1_reference, exp_integral_e1
-from .integrators import METHODS, SolverConfig, integrate
+from .integrators import METHODS, SolverConfig, advance, integrate
 from .model import BlobSystem, State, init_grid
 from .reference import (
     fit_order,
@@ -191,7 +191,7 @@ def cmd_temporal_order(args):
         points = []
         for tau in args.taus:
             n_steps = int(round(args.t_final / tau))
-            _, final = integrate(system, state, tau, n_steps, args.method, solver=solver)
+            final = advance(system, state, tau, n_steps, args.method, solver=solver)
             points.append((tau, temporal_error(final, four_vortex_exact(n_steps * tau, m))))
         return points
 
@@ -210,7 +210,7 @@ def cmd_spatial_order(args):
         points = []
         for cells in args.grids:
             system, state = init_grid(cells, p=p, q=args.q, m=m, prune_zero=True)
-            _, final = integrate(system, state, args.tau, n_steps, args.method, solver=solver)
+            final = advance(system, state, args.tau, n_steps, args.method, solver=solver)
             err = spatial_error(system, final, p=p)
             points.append((system.h, err))
             print(f"spatial-order: m={m} cells={cells} h={system.h:.4f} error={err:.6e}")

@@ -111,7 +111,7 @@ def _c_tau(m, xi_k, e_k, w_k, band, xi_k1, eps):
     """c_tau on arrays of pairs from the prev-level terms e_k = exp(-xi_k), w_k = W(xi_k) and band = _band(xi_k, eps).
 
     Taylor where |z - 1| band <= eps, the closed form elsewhere; w_k None
-    computes W(xi_k) where the closed form is taken.  A chunk that mixes
+    computes W(xi_k) from e_k where the closed form is taken.  A chunk that mixes
     the two takes the closed form on every pair, with s = 1 at the Taylor
     pairs so that z = 1 never divides 0 by 0, and then the Taylor form on
     the Taylor pairs alone, picked by index: that costs less than copying
@@ -123,7 +123,7 @@ def _c_tau(m, xi_k, e_k, w_k, band, xi_k1, eps):
     if near.all():
         return _taylor_form(m, xi_k, e_k, s)
     if w_k is None:
-        w_k = potential_tail(m, xi_k)
+        w_k = potential_tail(m, xi_k, e_k)
     if not near.any():
         return _closed_form(m, w_k, xi_k1, z, s)
     idx = np.flatnonzero(near)
@@ -264,7 +264,8 @@ def _prev_parts(system, prev, i, j, eps):
         cols = [a[idx] for a in pairs]
         if kind is _NearPairs:
             xi_k = xi[idx]
-            cols += [np.exp(-xi_k), potential_tail(system.m, xi_k), _band(xi_k, eps)]
+            e = np.exp(-xi_k)
+            cols += [e, potential_tail(system.m, xi_k, e), _band(xi_k, eps)]
         p = kind(*cols)
         starts = np.flatnonzero(np.concatenate(([True], p.i[1:] != p.i[:-1])))
         parts.append(_Part(p, p.i[starts], starts))

@@ -22,9 +22,9 @@ triangle i < j, ``triangle_blocks`` with ``pair_differences``, serves every
 sum over pairs (the Hamiltonian in ``conserved`` and the conservative
 scheme's f_tau), each of which leaves out the zero-distance pairs of a
 zero-strength vortex by ``drop_coincident``.  The band and the triangle
-raise PairDegeneracyError on coincident strength-bearing vortices.  The
-multiplier of the conservation laws is built from a vector field by
-``multiplier``.  Every per-order polynomial is evaluated by
+raise PairDegeneracyError on coincident strength-bearing vortices, and
+DomainError where a squared distance overflows.  The multiplier of the
+conservation laws is built from a vector field by ``multiplier``.  Every per-order polynomial is evaluated by
 :func:`vortexblob.expint._horner`, the package's one Horner, which E1's
 table also uses.
 """
@@ -264,11 +264,18 @@ def pair_differences(system, x, y, i, j):
 
     keep is None when no pair is at zero distance, else the mask r2 > 0 of
     the pairs that drop_coincident keeps.  A strength-bearing pair at zero
-    distance raises PairDegeneracyError.
+    distance raises PairDegeneracyError, and an r2 that overflows raises
+    DomainError naming the first such pair.
     """
-    dx = x[i] - x[j]
-    dy = y[i] - y[j]
-    r2 = dx * dx + dy * dy
+    try:
+        with np.errstate(over="raise"):
+            dx = x[i] - x[j]
+            dy = y[i] - y[j]
+            r2 = dx * dx + dy * dy
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            k = np.flatnonzero(~np.isfinite(np.square(x[i] - x[j]) + np.square(y[i] - y[j])))[0]
+        raise DomainError(f"the squared distance of vortices {i[k]} and {j[k]} overflows") from None
     if r2.all():
         return dx, dy, r2, None
     live = system.kappa != 0.0
@@ -363,12 +370,15 @@ def blob_vorticity(system, state, z):
     return float(out[0]) if single else out
 
 
-def potential_tail(m, xi):
-    """W(xi) = E1(xi) + R(xi) exp(-xi), the pair potential less its log: V = log r2 + W(r2/delta^2)."""
+def potential_tail(m, xi, e=None):
+    """W(xi) = E1(xi) + R(xi) exp(-xi), the pair potential less its log: V = log r2 + W(r2/delta^2).
+
+    e is exp(-xi) where the caller already holds it; it is formed here otherwise.
+    """
     w = exp_integral_e1(xi)
     r = ORDER_POLYNOMIALS[m].r
     if r:
-        w = w + _horner(xi, r) * np.exp(-xi)
+        w = w + _horner(xi, r) * (np.exp(-xi) if e is None else e)
     return w
 
 

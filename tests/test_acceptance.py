@@ -13,6 +13,7 @@ from vortexblob import (
     BlobSystem,
     SolverConfig,
     State,
+    advance,
     c_tau_closed,
     c_tau_taylor,
     conserved,
@@ -69,7 +70,7 @@ def test_criterion_2_temporal_order():
         points = []
         for tau in (0.5, 0.25, 0.125, 0.0625):
             n = int(round(10.0 / tau))
-            _, final = integrate(system, state, tau, n, "dmm")
+            final = advance(system, state, tau, n, "dmm")
             points.append((tau, temporal_error(final, four_vortex_exact(10.0, m))))
         slopes[m] = fit_order(points).slope
     ok = all(1.9 <= s <= 2.1 for s in slopes.values())
@@ -88,7 +89,7 @@ def test_criterion_3_spatial_order():
         errors = []
         for cells in families[m]:
             system, state = init_grid(cells, p=p, q=0.75, m=m, prune_zero=True)
-            _, final = integrate(system, state, 0.001, 1, "dmm")
+            final = advance(system, state, 0.001, 1, "dmm")
             errors.append(spatial_error(system, final, p=p))
         assert all(a > b for a, b in zip(errors, errors[1:]))
         orders[m] = float(np.log2(errors[-2] / errors[-1]))
@@ -106,14 +107,14 @@ def test_criterion_4_conserved_quantity_convergence():
     dmm_errors = []
     for cells in (8, 16, 32):
         system, state = init_grid(cells, p=3, q=0.75, m=4, prune_zero=True)
-        _, final = integrate(system, state, 1.0, 10, "dmm")
+        final = advance(system, state, 1.0, 10, "dmm")
         dmm_errors.append((system.h, abs(conserved(system, final).ell - ell_exact)))
     dmm_monotone = all(a[1] > b[1] for a, b in zip(dmm_errors, dmm_errors[1:]))
     dmm_slope = fit_order(dmm_errors).slope
     rm2_errors = []
     for cells in (8, 16, 32, 64):
         system, state = init_grid(cells, p=3, q=0.75, m=4, prune_zero=True)
-        _, final = integrate(system, state, 1.0, 10, "rm2")
+        final = advance(system, state, 1.0, 10, "rm2")
         rm2_errors.append(abs(conserved(system, final).ell - ell_exact))
     plateau_ratio = min(rm2_errors[-1] / rm2_errors[-2], rm2_errors[-2] / rm2_errors[-1])
     elapsed = time.monotonic() - start

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import vortexblob.integrators
 from vortexblob import cli
 from vortexblob.cli import EXIT_DEGENERATE, EXIT_OK, EXIT_SOLVER, EXIT_USAGE, main
 from vortexblob.errors import DomainError, PairDegeneracyError
@@ -156,6 +157,28 @@ class TestOrderCommands:
         errors = [float(row[2]) for row in rows]
         assert errors[0] > errors[-1] > 0.0
 
+    @pytest.mark.parametrize("args", [["temporal-order", "--taus", "0.5", "0.25", "0.125", "--t-final", "1"],
+                                      ["spatial-order", "--grids", "4", "8", "16"]])
+    def test_order_sweeps_take_no_samples(self, tmp_path, monkeypatch, args):
+        # both sweeps read only final states: no conserved() call, and the tables
+        # a run through integrate writes, byte for byte
+        calls = []
+        real_conserved = vortexblob.integrators.conserved
+
+        def counting_conserved(system, state):
+            calls.append(1)
+            return real_conserved(system, state)
+
+        monkeypatch.setattr(vortexblob.integrators, "conserved", counting_conserved)
+        assert main([*args, "--orders", "2", "4", "--out", str(tmp_path / "advance")]) == EXIT_OK
+        assert calls == []
+        monkeypatch.setattr(cli, "advance", lambda *a, **kw: vortexblob.integrators.integrate(*a, **kw)[1])
+        assert main([*args, "--orders", "2", "4", "--out", str(tmp_path / "integrate")]) == EXIT_OK
+        assert calls
+        for name in ("errors.csv", "slopes.csv"):
+            with open(tmp_path / "advance" / name) as got, open(tmp_path / "integrate" / name) as want:
+                assert got.read() == want.read()
+
     def test_spatial_order_p_per_order(self, tmp_path):
         # without --p, m = 6 runs at p = 15 and m = 2 and 4 at 3; an explicit --p
         # applies to every order; the manifest records what each order ran with
@@ -259,14 +282,16 @@ class TestExitCodes:
         assert code == EXIT_SOLVER
         assert capsys.readouterr().err.startswith("solver failure: step 1: ")
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("method", ["imm", "dmm"])
     def test_overflowing_iterate_is_solver_failure(self, method, tmp_path, capsys):
-        # dmm's second iterate overflows r2 inside f_tau: a solver failure, not a domain error
+        # the second iterate's r2 overflows where it is formed, with no warning:
+        # a solver failure, not a domain error
         code = main(["simulate", "--random-vortices", "3", "--tau", "1e200", "--method", method,
                      "--out", str(tmp_path / "overflow")])
         assert code == EXIT_SOLVER
-        assert capsys.readouterr().err.startswith("solver failure: step 1: ")
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: step 1: ")
+        assert "iterate 2 is outside the field's domain" in err
 
     @pytest.mark.parametrize("error, message", [
         (PairDegeneracyError(0, 1), "degeneracy error:"),

@@ -389,7 +389,8 @@ class TestDenseReference:
         for m in (2, 4, 6):
             system, prev, _ = random_pair(rng, 7, m=m)
             out = dmm_step(system, prev, 0.3)
-            ref = _fixed_point(prev, 0.3, DEFAULT_SOLVER, lambda x, y: dmm_rhs(system, prev, State(x=x, y=y)))
+            ref = _fixed_point(prev, 0.3, DEFAULT_SOLVER, rhs(system, prev),
+                               lambda x, y: dmm_rhs(system, prev, State(x=x, y=y)))
             assert np.array_equal(out.next.x, ref.next.x)
             assert np.array_equal(out.next.y, ref.next.y)
             assert out.iterations == ref.iterations

@@ -10,6 +10,7 @@ from vortexblob.integrators import (
     DEFAULT_SOLVER,
     METHODS,
     SolverConfig,
+    advance,
     dmm_step,
     imm_step,
     integrate,
@@ -201,9 +202,9 @@ class TestDriver:
         if method in ("imm", "dmm"):  # Picard starts at the finite start state: the first iterate overflows
             assert exc.value.iterations == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_dmm_iterate_is_solver_failure(self):
-        # the Euler step is finite, but the second iterate's r2 overflows inside f_tau
+        # the Euler step is finite, but the second iterate's r2 overflows inside
+        # f_tau, where the pair triangle forms it: an error, not a warning
         rng = np.random.default_rng(0)
         system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=rng.uniform(-1.0, 1.0, 3))
         state = State(x=rng.uniform(-1.0, 1.0, 3), y=rng.uniform(-1.0, 1.0, 3))
@@ -211,6 +212,7 @@ class TestDriver:
             integrate(system, state, 1e200, 3, "dmm")
         assert exc.value.iterations == 2 and exc.value.step_index == 1
         assert isinstance(exc.value.__cause__, DomainError)
+        assert "iterate 2 is outside the field's domain: the squared distance of vortices" in str(exc.value)
         assert np.isfinite(exc.value.last_state.x).all()
 
     def test_iterations_recorded_for_every_step(self):
@@ -230,11 +232,11 @@ class TestDriver:
             imm_step(system, state, 0.3, solver=one_iterate)
         assert np.array_equal(imm.value.last_state.x, euler_x)
         assert np.array_equal(imm.value.last_state.y, euler_y)
-        # dmm's f_tau(state, state) is rhs summed over the pair triangle instead
+        # dmm's Euler iterate takes rhs too, not f_tau(state, state) over the pair triangle
         with pytest.raises(SolverFailureError) as dmm:
             dmm_step(system, state, 0.3, solver=one_iterate)
-        assert np.abs(dmm.value.last_state.x - euler_x).max() <= 1e-15
-        assert np.abs(dmm.value.last_state.y - euler_y).max() <= 1e-15
+        assert np.array_equal(dmm.value.last_state.x, euler_x)
+        assert np.array_equal(dmm.value.last_state.y, euler_y)
 
     def test_dmm_driver_conserves_ring_invariants(self):
         system, state = four_vortex_ring(6)
@@ -242,12 +244,12 @@ class TestDriver:
         assert record.max_drift().max() <= 1e-12
 
 
-def plain_picard(state, tau, field_at, solver=DEFAULT_SOLVER):
-    """x = state + tau * field_at(x) by unmixed Picard from the start state: (x, y), iterates, update ratios."""
+def plain_picard(system, state, tau, field_at, solver=DEFAULT_SOLVER):
+    """x = state + tau * field_at(x) by unmixed Picard from the Euler step: (x, y), iterates, update ratios."""
     u0 = u = np.array((state.x, state.y))
     updates = []
     for iteration in range(1, solver.max_iters + 1):
-        g = u0 + tau * np.array(field_at(u[0], u[1]))
+        g = u0 + tau * np.array(rhs(system, state) if iteration == 1 else field_at(u[0], u[1]))
         updates.append(float(np.abs(g - u).max()))
         u = g
         if updates[-1] <= solver.threshold(state):
@@ -259,7 +261,7 @@ class TestAndersonMixing:
     def test_slow_grid_step_mixes_to_the_same_point(self):
         # Picard contracts by 0.15-0.21 an iterate here, so the driver mixes
         system, state = init_grid(10, m=4, prune_zero=True)
-        (x, y), plain_iters, ratios = plain_picard(state, 1.0, PrevLevel(system, state).field)
+        (x, y), plain_iters, ratios = plain_picard(system, state, 1.0, PrevLevel(system, state).field)
         assert max(ratios) > vortexblob.integrators._RHO_MIX
         out = dmm_step(system, state, 1.0)
         assert (plain_iters, out.iterations) == (17, 13)
@@ -280,7 +282,7 @@ class TestAndersonMixing:
         else:
             field_at = PrevLevel(system, state).field
             out = dmm_step(system, state, 0.2)
-        (x, y), plain_iters, ratios = plain_picard(state, 0.2, field_at)
+        (x, y), plain_iters, ratios = plain_picard(system, state, 0.2, field_at)
         assert max(ratios) < vortexblob.integrators._RHO_MIX
         assert out.iterations == plain_iters
         assert np.array_equal(out.next.x, x) and np.array_equal(out.next.y, y)
@@ -302,9 +304,65 @@ class TestAndersonMixing:
                 raise
 
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
-        out = vortexblob.integrators._fixed_point(
-            state, 1.0, DEFAULT_SOLVER, lambda x, y: (a[0, 0] * x + a[0, 1] * y, a[1, 0] * x + a[1, 1] * y)
-        )
+
+        def field_at(x, y):
+            return a[0, 0] * x + a[0, 1] * y, a[1, 0] * x + a[1, 1] * y
+
+        out = vortexblob.integrators._fixed_point(state, 1.0, DEFAULT_SOLVER, field_at(state.x, state.y), field_at)
         assert [g.tolist() for g in singular] == [[[2.0**-9, 0.0], [0.0, 0.0]]]
         # the fixed point of x = x0 + a x is (2, -2); Picard alone takes 375 iterates
         assert (out.next.x.tolist(), out.next.y.tolist(), out.iterations) == ([2.0], [-2.0], 6)
+
+
+def random_system(m, n, seed):
+    rng = np.random.default_rng(seed)
+    system = BlobSystem(m=m, h=1.0, delta=1.0, kappa=rng.uniform(-1.0, 1.0, n))
+    return system, State(x=rng.uniform(-1.0, 1.0, n), y=rng.uniform(-1.0, 1.0, n))
+
+
+class TestAdvance:
+    @pytest.mark.parametrize("n_steps", [0, 3])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_final_state_of_integrate(self, method, n_steps, monkeypatch):
+        system, state = random_system(4, 6, 5)
+        _, want = integrate(system, state, 0.3, n_steps, method)
+        calls = []
+        monkeypatch.setattr(vortexblob.integrators, "conserved", lambda *args: calls.append(args))
+        got = advance(system, state, 0.3, n_steps, method)
+        assert calls == []  # no samples
+        assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y) and got.t == want.t
+        if n_steps == 0:
+            assert got is state
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_configuration_errors_of_integrate(self, method):
+        system, state = four_vortex_ring(2)
+        short = State(x=state.x[:-1], y=state.y[:-1])
+        for args in ((state, 1, "euler"), (state, -1, method), (state, 2.5, method), (short, 1, method)):
+            with pytest.raises(ConfigurationError) as want:
+                integrate(system, args[0], 0.1, *args[1:])
+            with pytest.raises(ConfigurationError) as got:
+                advance(system, args[0], 0.1, *args[1:])
+            assert str(got.value) == str(want.value)
+
+    def test_solver_failure_tagged_with_step(self, monkeypatch):
+        # the third step runs out of iterates
+        system, state = random_system(2, 4, 7)
+        calls = []
+        real_dmm_step = vortexblob.integrators.dmm_step
+
+        def failing_dmm_step(system, state, tau, solver):
+            calls.append(1)
+            return real_dmm_step(system, state, tau, SolverConfig(max_iters=1) if len(calls) == 3 else solver)
+
+        monkeypatch.setattr(vortexblob.integrators, "dmm_step", failing_dmm_step)
+        failures = []
+        for run in (advance, integrate):
+            calls.clear()
+            with pytest.raises(SolverFailureError) as exc:
+                run(system, state, 0.3, 5, "dmm")
+            failures.append(exc.value)
+        got, want = failures
+        assert got.step_index == want.step_index == 3
+        assert (got.iterations, got.residual) == (want.iterations, want.residual)
+        assert np.array_equal(got.last_state.x, want.last_state.x)

@@ -28,6 +28,7 @@ from vortexblob.model import (
     initial_vorticity,
     multiplier_matrix,
     p_polynomial,
+    pair_differences,
     pair_potential,
     q_polynomial,
     rhs,
@@ -234,7 +235,7 @@ class TestConserved:
         system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=[1e200, -1e200, 1e200])
         with pytest.raises(DomainError):
             conserved(system, State(x=[0.0, 0.5, -0.3], y=[0.1, -0.2, 0.4]))
-        # an overflowed r2 raises the same error, through E1
+        # an overflowed r2 raises the same error, where the pair triangle forms it
         system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=[1.0, 1.0])
         with pytest.raises(DomainError):
             conserved(system, State(x=[-1e200, 1e200], y=[0.0, 0.0]))
@@ -393,6 +394,17 @@ class TestBand:
         system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=[1.0, -1.0, 0.5])
         with pytest.raises(DomainError, match="overflow"):
             rhs(system, State(x=[0.0, 1e200, -1e200], y=[0.0, 0.0, 0.0]))
+
+    def test_overflowing_triangle_r2_raises_domain_error(self):
+        # the triangle checks as the band does, and names the first pair that overflows
+        system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=[1.0, -1.0, 0.5])
+        x, y = np.array([0.0, 1e154, -1e154]), np.zeros(3)  # only 1 and 2 are 2e154 apart
+        i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
+        assert np.isfinite(pair_differences(system, x, y, i[:2], j[:2])[2]).all()
+        with pytest.raises(DomainError, match="squared distance of vortices 1 and 2 overflows"):
+            pair_differences(system, x, y, i, j)
+        with pytest.raises(DomainError, match="overflows"):
+            dmm_rhs(system, State(x=x, y=y), State(x=x, y=y))
 
     def test_overflowing_imm_iterate_stops_at_once(self):
         # the Euler step is finite; the second iterate's midpoint overflows r2 in rhs
