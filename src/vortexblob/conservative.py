@@ -326,11 +326,14 @@ class PrevLevel:
         return c / p.r2
 
     def field(self, x, y):
-        """f_tau(prev, cand) at the cand positions (x, y): midpoint differences weighted by c_tau / r2_k, each pair scattered to i and j."""
+        """f_tau(prev, cand) at the cand positions (x, y): midpoint differences weighted by c_tau / r2_k, each pair scattered to i and j.
+
+        Returns the (2, M) array (xdot, ydot), as rhs does.
+        """
         system, scale = self.system, self.scale
         n = system.size
-        xdot = np.zeros(n)
-        ydot = np.zeros(n)
+        out = np.zeros((2, n))
+        xdot, ydot = out
         for p, rows, starts in self._parts():
             dx, dy, r2, keep = pair_differences(system, x, y, p.i, p.j)
             if keep is None:
@@ -346,7 +349,7 @@ class PrevLevel:
             xdot[rows] -= np.add.reduceat(wy * sj, starts)
             ydot -= np.bincount(p.j, wx * si, n)
             ydot[rows] += np.add.reduceat(wx * sj, starts)
-        return xdot, ydot
+        return out
 
 
 def dmm_rhs(system, prev, cand):

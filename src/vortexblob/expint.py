@@ -14,16 +14,22 @@ points of [1e-12, 1], and the table within 2e-15 on (1, 34].
 Per element on 1e5-element arrays, single-threaded on a 2-CPU Intel Xeon,
 the series takes 13 ns, the table 21 ns and the zero 2 ns.  Of the pairs
 of the 316-, 812- and 3228-vortex grids, 2.3%, 1.4% and 0.6% lie below 1
-and 59%, 35% and 14% on (1, 34].  Both sums go through ``_horner``, which
-sums an array of up to 30 elements in Python floats rather than take two
-numpy calls a step, with the same bits; so an element gets the same bits
-from a call on any size.  A whole E1 call (min of 3000 timings) takes
-7.5, 8.5 and 10.5 us on 1, 3 and 8 elements below 1, 2 to 5 us more than
-a compiled exp1, and 9.7, 10.8 and 13.4 us on the table.  Clenshaw's
-recurrence on the Chebyshev series took 85 us on 3 elements, when numpy
-Horner took 50 us.  ``e1_reference`` provides an independent series /
-continued-fraction evaluation used by the test suite; below 1 it sums
-the same series, so the tests check that regime against mpmath.
+and 59%, 35% and 14% on (1, 34].  On arrays, both sums go through
+``_horner``, which sums an array of up to 30 elements in Python floats
+rather than take two numpy calls a step, with the same bits.  An array of
+up to ``_E1_FLOATS_MAX`` = 32 elements, or a scalar, skips the regime
+masks altogether: ``_e1_floats`` takes one log and one exp call on it and
+does the rest element by element in Python floats, again with the same
+bits; so an element gets the same bits from a call on any size.  A whole
+E1 call (min of 15 x 1000 timings, interleaved with the numpy path on the
+same host) takes 3.7, 5.1 and 8.5 us on 1, 3 and 8 elements below 1, and
+3.8, 5.8 and 10.3 us on the table, where the numpy path took 11.6, 12.5
+and 16.1 us and 14.5, 15.8 and 19.6 us; a scalar takes 3.9 us against
+11.9.  Clenshaw's recurrence on the Chebyshev series took 85 us on 3
+elements, when numpy Horner took 50 us.  ``e1_reference`` provides an
+independent series / continued-fraction evaluation used by the test
+suite; below 1 it sums the same series, so the tests check that regime
+against mpmath.
 """
 
 from __future__ import annotations
@@ -77,11 +83,22 @@ _CHEB_COEF = np.array([
     -9.011479350385905e-17,
     1.2647262427574748e-18,
 ])
-_LOG_HI = np.log(CUTOFF)
+_LOG_HI = float(np.log(CUTOFF))
 # The same fit in powers of t, for Horner's rule, as Python floats.  The
 # magnitudes of these coefficients sum to 1.18, so the power sum is as
 # accurate as the Chebyshev one: about 1e-15 relative to mpmath either way.
 _POW_COEF = tuple(np.polynomial.chebyshev.cheb2poly(_CHEB_COEF).tolist())
+
+# Both of E1's polynomials, highest degree first, for _e1_floats.
+_EIN_DESC = _EIN_COEF[::-1]
+_POW_DESC = _POW_COEF[::-1]
+# Arrays of up to this many elements take _e1_floats.  Single-threaded on a
+# shared 2-CPU Intel Xeon (min of 15 interleaved timings), it was the cheaper
+# path on every regime up to 32 elements: 9.3-10.0 against 22-36 us on 3,
+# and 43, 54 and 46 against 51, 67 and 66 us on 32 below 1, on the table and
+# mixed; above 34 alone the two paths meet there (13 us).  By 40 elements
+# numpy took the series and the table.
+_E1_FLOATS_MAX = 32
 
 # _horner's measured costs, in us (see its docstring).
 _NUMPY_STEP_US = 1.04
@@ -153,6 +170,35 @@ def _cheb(x):
     return np.exp(-x) / x * _horner(t, _POW_COEF)
 
 
+def _e1_floats(arr):
+    """exp_integral_e1 on a few elements: one log and one exp call, the rest in Python floats.
+
+    Each element takes the numpy path's operations in its order, each
+    multiply, add and divide correctly rounded in both, and the same log
+    and exp, so it gets the same bits.  Every element is checked on its
+    own, since min and max of a list pass a NaN by where it sits.
+    """
+    vals = arr.ravel().tolist()
+    for v in vals:
+        if not 0.0 < v < math.inf:  # a NaN fails too
+            raise DomainError("E1 requires strictly positive finite arguments")
+    out = []
+    for v, log_v, exp_v in zip(vals, np.log(arr).ravel().tolist(), np.exp(-arr).ravel().tolist()):
+        acc = 0.0  # 0 x + coef[-1] is exact, so the steps after it are _horner's
+        if v <= SERIES_MAX:
+            for c in _EIN_DESC:
+                acc = acc * v + c
+            out.append(acc - log_v)
+        elif v <= CUTOFF:
+            t = 2.0 * log_v / _LOG_HI - 1.0
+            for c in _POW_DESC:
+                acc = acc * t + c
+            out.append(exp_v / v * acc)
+        else:
+            out.append(0.0)
+    return out[0] if arr.ndim == 0 else np.array(out).reshape(arr.shape)
+
+
 def exp_integral_e1(x):
     """E1(x) = int_x^inf exp(-t)/t dt for x > 0.
 
@@ -160,7 +206,9 @@ def exp_integral_e1(x):
     returns exactly 0 for x > 34.  Raises ``DomainError`` for x <= 0.
     """
     arr = np.asarray(x, dtype=float)
-    if arr.size and not (arr.min() > 0.0 and arr.max() < np.inf):  # a NaN fails both
+    if arr.size <= _E1_FLOATS_MAX:
+        return _e1_floats(arr)
+    if not (arr.min() > 0.0 and arr.max() < np.inf):  # a NaN fails both
         raise DomainError("E1 requires strictly positive finite arguments")
     out = np.zeros(arr.shape)
     small = arr <= SERIES_MAX

@@ -110,21 +110,26 @@ def _combine(u, h, terms, ks):
     return u + h * functools.reduce(np.add, (ks[j] if c == 1.0 else c * ks[j] for j, c in terms))
 
 
-def _positions(v, t=0.0):
-    """State at positions stacked as (2, M); a non-finite one is a blow-up of the step."""
+def _positions(v):
+    """v, positions stacked as (2, M), once it is finite; a non-finite one is a blow-up of the step."""
     if not np.isfinite(v).all():
         raise SolverFailureError(0, np.inf, message="step produced non-finite positions")
-    return State(x=v[0], y=v[1], t=t)
+    return v
 
 
 def _explicit_rk_step(tableau, system, state, tau):
-    """One step of an explicit Runge-Kutta method; positions stacked as (2, M)."""
+    """One step of an explicit Runge-Kutta method; positions and rhs values stacked as (2, M).
+
+    Each stage reaches rhs as the checked (2, M) array; only the returned
+    State is built, and validated, as a State.
+    """
     stages, (scale, terms) = tableau
     u = np.array((state.x, state.y))
-    ks = [np.array(rhs(system, state))]
+    ks = [rhs(system, state)]
     for stage_scale, stage_terms in stages:
-        ks.append(np.array(rhs(system, _positions(_combine(u, stage_scale * tau, stage_terms, ks)))))
-    return _positions(_combine(u, scale * tau, terms, ks), state.t + tau)
+        ks.append(rhs(system, _positions(_combine(u, stage_scale * tau, stage_terms, ks))))
+    v = _positions(_combine(u, scale * tau, terms, ks))
+    return State(x=v[0], y=v[1], t=state.t + tau)
 
 
 def rk4_step(system, state, tau):
@@ -196,15 +201,18 @@ def _fixed_point(state, tau, solver, velocity, field_at):
 
     velocity is the ODE field at the start state, rhs(system, state), so
     the first iterate is the explicit Euler step state + tau * velocity;
-    each later one evaluates G(u) = state + tau * field_at(u).  Converged
-    when the max-norm update |G(u) - u| is <= solver.threshold(state),
-    returning G(u); the iteration count includes the Euler iterate.  The
-    next iterate is G(u) (Picard) until an update is more than _RHO_MIX
-    times the one before; from there on in the step it is Anderson-mixed
-    over the last _DEPTH differences (see _Mixer), falling back to G(u)
-    where the mixing fails.  Raises SolverFailureError when an iterate is
-    not finite, when field_at raises DomainError at an iterate (an overflow
-    of the pair terms), or after solver.max_iters iterates.
+    each later one evaluates G(u) = state + tau * field_at(u), with the
+    iterate u a (2, M) array that no State wraps.  rhs and f_tau return
+    (2, M) arrays, used as they are; a pair (xdot, ydot) is stacked.
+    Converged when the max-norm update |G(u) - u| is at most
+    solver.threshold(state), returning G(u); the iteration count includes
+    the Euler iterate.  The next iterate is G(u) (Picard) until an update
+    is more than _RHO_MIX times the one before; from there on in the step
+    it is Anderson-mixed over the last _DEPTH differences (see _Mixer),
+    falling back to G(u) where the mixing fails.  Raises
+    SolverFailureError when an iterate is not finite, when field_at raises
+    DomainError at an iterate (an overflow of the pair terms), or after
+    solver.max_iters iterates.
     """
     u = u0 = np.array((state.x, state.y))
     threshold = solver.threshold(state)
@@ -219,7 +227,7 @@ def _fixed_point(state, tau, solver, velocity, field_at):
                     iteration, residual, last_state=State(x=u[0], y=u[1], t=state.t + tau),
                     message=f"iterate {iteration} is outside the field's domain: {exc}",
                 ) from exc
-        g = u0 + tau * np.array(velocity)
+        g = u0 + tau * np.asarray(velocity)
         f = g - u
         previous, residual = residual, float(np.abs(f).max(initial=0.0))
         if not math.isfinite(residual):  # u is finite, so the new iterate is not
@@ -241,7 +249,7 @@ def imm_step(system, state, tau, solver=DEFAULT_SOLVER):
     """
     return _fixed_point(
         state, tau, solver, rhs(system, state),
-        lambda x, y: rhs(system, State(x=0.5 * (state.x + x), y=0.5 * (state.y + y))),
+        lambda x, y: rhs(system, (0.5 * (state.x + x), 0.5 * (state.y + y))),
     )
 
 

@@ -62,6 +62,9 @@ ORDER_POLYNOMIALS = {
 SUPPORTED_ORDERS = tuple(ORDER_POLYNOMIALS)
 # S(xi) = (1 - Q(xi))/xi of cutoff_over_r2, per order.
 _CUTOFF_S = {m: tuple(-c for c in poly.q[1:]) for m, poly in ORDER_POLYNOMIALS.items()}
+# exp(-708) = 3.3e-308 is still a normal double; from about -708.4 down np.exp
+# returns subnormals, then 0, on a slow path.
+_EXP_NORMAL_MIN = -708.0
 
 
 def _check_order(m):
@@ -97,13 +100,22 @@ def cutoff_over_r2(m, r2, delta):
     With xi = r2/delta^2 and S(xi) = (1 - Q(xi))/xi, a polynomial,
     C(xi)/xi = (1 - exp(-xi))/xi + S(xi) exp(-xi); both terms are
     evaluated without cancellation, and the first tends to 1 at xi = 0.
+    Past xi = 708 the second term is below half an ulp of the first, so a
+    block that reaches there, found by one min, takes it as 0 on those
+    entries: the same bits, while np.exp, whose result is subnormal or 0
+    there, costs 15-120 ns an element against about 1 ns below.  Blocks
+    that stay below 708 keep the plain call, which costs half the masked one.
     """
     _check_order(m)
     minus_xi = np.asarray(r2, dtype=float) / -(delta**2)
     out = np.divide(np.expm1(minus_xi), minus_xi, out=np.ones_like(minus_xi), where=minus_xi < 0.0)
     s = _CUTOFF_S[m]
     if s:
-        out += _horner(-minus_xi, s) * np.exp(minus_xi)
+        if minus_xi.size and minus_xi.min() < _EXP_NORMAL_MIN:
+            e = np.exp(minus_xi, where=minus_xi >= _EXP_NORMAL_MIN, out=np.zeros_like(minus_xi))
+        else:
+            e = np.exp(minus_xi)
+        out += _horner(-minus_xi, s) * e
     out /= delta**2
     return float(out) if out.ndim == 0 else out
 
@@ -133,7 +145,13 @@ class BlobSystem:
 
 @dataclass(frozen=True)
 class State:
-    """Vortex positions at one instant."""
+    """Vortex positions at one instant.
+
+    Every State validates its positions when it is built: two 1-d float
+    arrays of equal length, all finite.  A step builds one, the state it
+    returns; its stages and iterates stay (2, M) arrays that the step has
+    checked itself, and reach ``rhs`` as they are.
+    """
 
     x: np.ndarray
     y: np.ndarray
@@ -144,7 +162,7 @@ class State:
         y = np.asarray(self.y, dtype=float)
         if x.shape != y.shape or x.ndim != 1:
             raise ConfigurationError("x and y must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ConfigurationError("positions must be finite")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -205,6 +223,8 @@ def _differences(p, q):
 def pair_blocks(system, state, points=None):
     """The one traversal of pair differences by row blocks: yield (rows, d, r2).
 
+    state is a State or the positions (x, y) as rhs takes them.
+
     d = (-dy, dx) stacks the differences (dx, dy) of the block's points
     from its vortices turned a quarter turn, the direction of the kernel K,
     and r2 is their squared distances, (2, block, cols) and (block, cols)
@@ -219,7 +239,8 @@ def pair_blocks(system, state, points=None):
     """
     _grow_heap()
     n = system.size
-    xy = np.array((-state.y, state.x))
+    x, y = (state.x, state.y) if isinstance(state, State) else state
+    xy = np.array((-y, x))
     if points is not None:
         pxy = np.array((-points[1], points[0]))
         step = max(1, _TILE // max(1, n))
@@ -308,12 +329,15 @@ def drop_coincident(keep, *arrays):
 def rhs(system, state):
     """Right-hand side of the vortex-blob ODEs.
 
-    Returns (xdot, ydot) = sum_j s_j w_ij (-dy_ij, dx_ij), with pair weight
-    w = C(r2)/r2 and s = kappa / (2 pi).  Over the band, vortex i takes the
-    pairs of the columns from its chunk's first vortex on by its row, summed
-    pairwise; the weight is symmetric and dx, dy antisymmetric, so the same
-    entries serve the vortices past the chunk by their columns, summed in
-    row order and chunk by chunk.  Each vortex's terms so meet in an order
+    state is a State, or the positions (x, y) as a (2, M) array or a pair
+    of arrays, which a step passes unchecked for its stages and iterates.
+    Returns the (2, M) array (xdot, ydot), which unpacks as its two rows:
+    sum_j s_j w_ij (-dy_ij, dx_ij), with pair weight w = C(r2)/r2 and
+    s = kappa / (2 pi).  Over the band, vortex i takes the pairs of the
+    columns from its chunk's first vortex on by its row, summed pairwise;
+    the weight is symmetric and dx, dy antisymmetric, so the same entries
+    serve the vortices past the chunk by their columns, summed in row
+    order and chunk by chunk.  Each vortex's terms so meet in an order
     the block size does not change.  C(r^2)/r^2 is finite through r = 0, so
     the velocities are finite and smooth for close (zero-strength) pairs;
     the self-term vanishes because dx = dy = 0 on the diagonal.
@@ -341,7 +365,7 @@ def rhs(system, state):
             part = np.add.reduce(terms)
             if b == c + _BAND_ROWS:
                 cols[:, b:] += part
-    return vel[0], vel[1]
+    return vel
 
 
 def _points(z):

@@ -63,11 +63,13 @@ def test_continuous_across_regime_boundaries():
 
 
 def test_rejects_nonpositive_and_nonfinite():
-    for bad in (0.0, -1.0, np.nan, np.inf):
+    # every element is checked, wherever a NaN sits: min and max of a list
+    # skip a NaN that follows a number
+    for bad in (0.0, -1.0, np.nan, np.inf, [1.0, -2.0], [1.0, np.nan], [np.nan, 1.0], [1.0, np.inf], [2.0, 0.0]):
         with pytest.raises(DomainError):
-            exp_integral_e1(bad)
-    with pytest.raises(DomainError):
-        exp_integral_e1(np.array([1.0, -2.0]))
+            exp_integral_e1(np.array(bad))
+        with pytest.raises(DomainError):
+            exp_integral_e1(np.resize(np.array(bad), 40))  # the numpy path
 
 
 def test_scalar_and_array_agree():
@@ -98,14 +100,18 @@ def _float_limit(coef):
 FLOAT_LIMIT = _float_limit(_POW_COEF)
 
 
-@pytest.mark.parametrize("lo, hi, bound", [(1e-12, SERIES_MAX, 1e-15), (SERIES_MAX, CUTOFF, 2e-15)],
-                         ids=["series", "table"])
+@pytest.mark.parametrize("lo, hi, bound", [(1e-12, SERIES_MAX, 1e-15), (SERIES_MAX, CUTOFF, 2e-15),
+                                          (1e-12, 3 * CUTOFF, 2e-15)],
+                         ids=["series", "table", "mixed"])
 def test_each_regime_is_size_independent_and_accurate(lo, hi, bound):
     # 1e5 log-uniform points on (lo, hi]: every element gets the same bits
-    # from a call on any size from 1 to 2 FLOAT_LIMIT + 1, across _horner's
-    # switch from Python floats to numpy, or on all of them, and each is
-    # within bound of mpmath (e1_reference sums the same series below 1)
+    # from a call on any size from 1 to 2 FLOAT_LIMIT + 1, across the switch
+    # from E1's float path to its numpy path and _horner's from Python floats
+    # to numpy, or on all of them, and each is within bound of mpmath
+    # (e1_reference sums the same series below 1).  The mixed arrays hold
+    # all three regimes, the zeros above CUTOFF among them.
     mpmath = pytest.importorskip("mpmath")
+    assert expint._E1_FLOATS_MAX < 2 * FLOAT_LIMIT + 1
     rng = np.random.default_rng(11)
     xs = np.exp(rng.uniform(np.log(lo), np.log(hi), 100_000))
     xs = xs[(xs > lo) & (xs <= hi)]
@@ -114,9 +120,26 @@ def test_each_regime_is_size_independent_and_accurate(lo, hi, bound):
     for size in range(1, 2 * FLOAT_LIMIT + 2):
         parts = np.concatenate([exp_integral_e1(xs[k:k + size]) for k in range(0, 3000, size)])
         assert np.array_equal(parts, vals[:len(parts)]), size
+    zero = xs > CUTOFF
+    assert np.all(vals[zero] == 0.0)
     with mpmath.workdps(40):
-        refs = np.array([float(mpmath.e1(mpmath.mpf(float(x)))) for x in xs])
-    assert np.abs(vals / refs - 1.0).max() <= bound
+        refs = np.array([float(mpmath.e1(mpmath.mpf(float(x)))) for x in xs[~zero]])
+    assert np.abs(vals[~zero] / refs - 1.0).max() <= bound
+
+
+def test_small_arrays_keep_shape_and_scalars_stay_floats():
+    # arrays of up to _E1_FLOATS_MAX elements and scalars take the float path
+    x = np.array([[0.5, 2.0, 40.0], [1e-9, 34.0, 1e300]])
+    assert x.size <= expint._E1_FLOATS_MAX
+    out = exp_integral_e1(x)
+    assert type(out) is np.ndarray and out.shape == x.shape
+    assert np.array_equal(out.ravel(), exp_integral_e1(np.resize(x, 40))[:x.size])  # the numpy path's bits
+    assert out[0, 2] == out[1, 2] == 0.0 and out[1, 1] > 0.0  # 34 is the table's last point
+    assert np.all(exp_integral_e1(np.array([CUTOFF * (1.0 + 1e-15), 35.0, 1e6])) == 0.0)
+    assert exp_integral_e1(np.ones((0, 2))).shape == (0, 2)
+    for scalar in (np.array(0.5), 0.5, np.float64(5.0), 40):
+        got = exp_integral_e1(scalar)
+        assert type(got) is float and got == exp_integral_e1(np.array([float(scalar)]))[0]
 
 
 @settings(max_examples=200, deadline=None)

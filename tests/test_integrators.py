@@ -366,3 +366,23 @@ class TestAdvance:
         assert got.step_index == want.step_index == 3
         assert (got.iterations, got.residual) == (want.iterations, want.residual)
         assert np.array_equal(got.last_state.x, want.last_state.x)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_step_validates_only_the_state_it_returns(method, monkeypatch):
+    # the stages and iterates reach rhs as checked (2, M) arrays: no State
+    # of theirs runs the validation of outside input
+    system, state = random_system(2, 3, 1)
+    validated = []
+    validate = State.__post_init__
+
+    def spy(self):
+        validated.append(self)
+        validate(self)
+
+    monkeypatch.setattr(State, "__post_init__", spy)
+    out = getattr(vortexblob.integrators, f"{method}_step")(system, state, 0.5)
+    returned = out if isinstance(out, State) else out.next
+    if method in ("imm", "dmm"):
+        assert out.iterations > 2
+    assert len(validated) == 1 and validated[0] is returned
