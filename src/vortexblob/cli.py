@@ -27,6 +27,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -176,14 +177,15 @@ def _write_order_tables(args, x_name, points_of, **results):
     return EXIT_OK
 
 
-def _check_positive(flag, *taus):
-    """A step size of zero or less has no step count for a fixed end time."""
-    if not all(tau > 0.0 for tau in taus):
-        raise ConfigurationError(f"{flag} must be positive")
+def _check_positive(flag, *values):
+    """A step size or end time of zero or less, or not finite, gives no step count."""
+    if not all(0.0 < value < math.inf for value in values):
+        raise ConfigurationError(f"{flag} must be positive and finite")
 
 
 def cmd_temporal_order(args):
     _check_positive("--taus", *args.taus)
+    _check_positive("--t-final", args.t_final)
     solver = _solver_from_args(args)
 
     def points_of(m):
@@ -200,6 +202,7 @@ def cmd_temporal_order(args):
 
 def cmd_spatial_order(args):
     _check_positive("--tau", args.tau)
+    _check_positive("--t-final", args.t_final)
     solver = _solver_from_args(args)
     n_steps = max(1, int(round(args.t_final / args.tau)))
     # without --p, m = 6 takes a profile smooth enough to expose its full order
@@ -220,6 +223,8 @@ def cmd_spatial_order(args):
 
 
 def cmd_timing(args):
+    if args.n_seeds < 1:
+        raise ConfigurationError("--n-seeds must be >= 1")
     solver = _solver_from_args(args)
     rows = []
     for seed in range(args.seed, args.seed + args.n_seeds):

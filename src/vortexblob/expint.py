@@ -14,22 +14,21 @@ points of [1e-12, 1], and the table within 2e-15 on (1, 34].
 Per element on 1e5-element arrays, single-threaded on a 2-CPU Intel Xeon,
 the series takes 13 ns, the table 21 ns and the zero 2 ns.  Of the pairs
 of the 316-, 812- and 3228-vortex grids, 2.3%, 1.4% and 0.6% lie below 1
-and 59%, 35% and 14% on (1, 34].  On arrays, both sums go through
-``_horner``, which sums an array of up to 30 elements in Python floats
-rather than take two numpy calls a step, with the same bits.  An array of
-up to ``_E1_FLOATS_MAX`` = 32 elements, or a scalar, skips the regime
-masks altogether: ``_e1_floats`` takes one log and one exp call on it and
-does the rest element by element in Python floats, again with the same
-bits; so an element gets the same bits from a call on any size.  A whole
-E1 call (min of 15 x 1000 timings, interleaved with the numpy path on the
-same host) takes 3.7, 5.1 and 8.5 us on 1, 3 and 8 elements below 1, and
-3.8, 5.8 and 10.3 us on the table, where the numpy path took 11.6, 12.5
-and 16.1 us and 14.5, 15.8 and 19.6 us; a scalar takes 3.9 us against
-11.9.  Clenshaw's recurrence on the Chebyshev series took 85 us on 3
-elements, when numpy Horner took 50 us.  ``e1_reference`` provides an
-independent series / continued-fraction evaluation used by the test
-suite; below 1 it sums the same series, so the tests check that regime
-against mpmath.
+and 59%, 35% and 14% on (1, 34].  On arrays of more than
+``_E1_FLOATS_MAX`` = 32 elements, both sums go through ``_horner`` in
+numpy.  A smaller array, or a scalar, skips the regime masks altogether:
+``_e1_floats`` takes one log and one exp call on it and does the rest
+element by element in Python floats, in ``_horner``'s order of
+operations, so with the same bits; an element gets the same bits from a
+call on any size.  A whole E1 call (min of 15 x 1000 timings,
+interleaved with the numpy path on the same host) takes 3.7, 5.1 and
+8.5 us on 1, 3 and 8 elements below 1, and 3.8, 5.8 and 10.3 us on the
+table, where the numpy path took 11.6, 12.5 and 16.1 us and 14.5, 15.8
+and 19.6 us; a scalar takes 3.9 us against 11.9.  Clenshaw's recurrence
+on the Chebyshev series took 85 us on 3 elements, when numpy Horner took
+50 us.  ``e1_reference`` provides an independent series /
+continued-fraction evaluation used by the test suite; below 1 it sums
+the same series, so the tests check that regime against mpmath.
 """
 
 from __future__ import annotations
@@ -84,9 +83,10 @@ _CHEB_COEF = np.array([
     1.2647262427574748e-18,
 ])
 _LOG_HI = float(np.log(CUTOFF))
-# The same fit in powers of t, for Horner's rule, as Python floats.  The
-# magnitudes of these coefficients sum to 1.18, so the power sum is as
-# accurate as the Chebyshev one: about 1e-15 relative to mpmath either way.
+# The same fit in powers of t, for Horner's rule, as Python floats for
+# _e1_floats, which sums in them.  The magnitudes of these coefficients sum
+# to 1.18, so the power sum is as accurate as the Chebyshev one: about
+# 1e-15 relative to mpmath either way.
 _POW_COEF = tuple(np.polynomial.chebyshev.cheb2poly(_CHEB_COEF).tolist())
 
 # Both of E1's polynomials, highest degree first, for _e1_floats.
@@ -100,68 +100,21 @@ _POW_DESC = _POW_COEF[::-1]
 # numpy took the series and the table.
 _E1_FLOATS_MAX = 32
 
-# _horner's measured costs, in us (see its docstring).
-_NUMPY_STEP_US = 1.04
-_FLOAT_CALL_US = 0.9
-_FLOAT_ELEM_US = 0.11
-_FLOAT_STEP_US = 0.028
-
 
 def _horner(x, coef):
-    """coef[0] + coef[1] x + ... by Horner's rule: the package's one polynomial evaluator.
+    """coef[0] + coef[1] x + ... by Horner's rule, in place after the first step.
 
     No x * 0 term, so a one-term polynomial gives the bare coefficient.
-    Both loops take acc = coef[-1] x + coef[-2], then acc = acc x + c for
-    each remaining coefficient.  Each multiply and add is correctly rounded
-    and unfused in numpy and in Python floats alike, so the two give the
-    same bits.  Measured single-threaded on a shared 2-CPU Intel Xeon with
-    numpy 2.4 and CPython 3.11 (min of 15 interleaved timings, 2 to 25 coefficients on 0 to 32
-    elements), a numpy step (a multiply and an add, in place after the
-    first) costs about 1.04 us whatever the size, twice that on one
-    element; the Python float loop costs about 0.9 us a call, 0.11 us an
-    element and 0.028 us an element and step.  So an array takes the float
-    loop where the inequality below finds it cheaper: up to 30 elements for
-    E1's 25 coefficients, 14 for 5, 7 for 3 and 1 for 2.  On 3 elements the
-    25 coefficients then take 3.3 us instead of 21 us.  Scalars and 0-d
-    arrays stay on numpy, which returns a numpy scalar for them.  Pass
-    coefficients as Python floats: numpy scalars make the float loop
-    slower, not different.
+    The package's one polynomial evaluator on arrays; a numpy scalar or a
+    0-d array gives a numpy scalar.
     """
-    steps = len(coef) - 1
-    if steps == 0:
+    if len(coef) == 1:
         return coef[0]
-    if (type(x) is np.ndarray and x.ndim
-            and steps * _NUMPY_STEP_US > _FLOAT_CALL_US + x.size * (_FLOAT_ELEM_US + steps * _FLOAT_STEP_US)):
-        return _horner_floats(x, coef)
-    return _horner_numpy(x, coef)
-
-
-def _horner_numpy(x, coef):
-    """Horner on numpy arrays, in place after the first step."""
     out = coef[-1] * x + coef[-2]
     for c in coef[-3::-1]:
         out *= x
         out += c
     return out
-
-
-def _horner_floats(x, coef):
-    """Horner in Python floats, one element at a time; an array shaped like x.
-
-    Python floats overflow without a warning, so a call with any result
-    that is not finite is redone on numpy: the same bits, and numpy's
-    RuntimeWarning.
-    """
-    top, nxt, rest = coef[-1], coef[-2], coef[-3::-1]
-    out = []
-    for v in x.ravel().tolist():
-        acc = top * v + nxt
-        for c in rest:
-            acc = acc * v + c
-        out.append(acc)
-    if not math.isfinite(sum(out)):  # inf or nan in any term, or an overflowing sum
-        return _horner_numpy(x, coef)
-    return np.array(out).reshape(x.shape)
 
 
 def _cheb(x):
@@ -219,7 +172,7 @@ def exp_integral_e1(x):
     if mid.any():
         out[mid] = _cheb(arr[mid])
     # x > 34 stays exactly zero
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def e1_reference(x):

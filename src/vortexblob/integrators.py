@@ -304,10 +304,13 @@ class RunRecord:
         return self.drift().max(axis=1)
 
 
-def _check_run(system, state, n_steps, method):
-    """Raise ConfigurationError for an unknown method, a bad step count or a state not of system.size."""
+def _check_run(system, state, tau, n_steps, method):
+    """Raise ConfigurationError for an unknown method, a non-finite tau, a bad
+    step count or a state not of system.size; tau = 0 and tau < 0 are steps too."""
     if method not in _STEP_FUNCTIONS:
         raise ConfigurationError(f"unknown method {method!r}; expected one of {METHODS}")
+    if not math.isfinite(tau):
+        raise ConfigurationError(f"tau must be finite, got {tau!r}")
     _check_count("n_steps", n_steps, 0)
     if state.x.size != system.size:
         raise ConfigurationError(f"state holds {state.x.size} vortices, the system {system.size}")
@@ -343,7 +346,7 @@ def advance(system, state, tau, n_steps, method, solver=DEFAULT_SOLVER):
     final state; it validates its arguments as integrate does, and an error
     of a step propagates with the failing step index noted.
     """
-    _check_run(system, state, n_steps, method)
+    _check_run(system, state, tau, n_steps, method)
     return _run(system, state, tau, n_steps, method, solver)
 
 
@@ -354,9 +357,10 @@ def integrate(system, state, tau, n_steps, method, solver=DEFAULT_SOLVER, sample
     are always sampled, each sample a conserved() call; advance runs the
     same steps without them.  The implicit methods (imm, dmm) use solver.
     Errors of a step or of its sample propagate with the failing step
-    index noted.  A state not of system.size raises ConfigurationError.
+    index noted.  A non-finite tau or a state not of system.size raises
+    ConfigurationError.
     """
-    _check_run(system, state, n_steps, method)
+    _check_run(system, state, tau, n_steps, method)
     _check_count("sample_stride", sample_stride, 1)
     record = RunRecord()
 

@@ -44,7 +44,7 @@ from .expint import _horner, exp_integral_e1
 
 
 class OrderPolynomials(NamedTuple):
-    """Coefficients, in increasing degree and as Python floats, of one blob order's polynomials."""
+    """Coefficients, in increasing degree, of one blob order's polynomials."""
 
     q: tuple  # cutoff C(xi) = 1 - Q(xi) exp(-xi); unit constant term
     p: tuple  # matched vorticity shape zeta = P(xi) exp(-xi) / delta^2

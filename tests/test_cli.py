@@ -270,6 +270,30 @@ class TestExitCodes:
         assert main(["simulate", "--cells", "6", "--steps", "20", "--tol", tol,
                      "--out", str(tmp_path / "bad")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("method", ["dmm", "rm2"])
+    def test_non_finite_tau_is_usage_error(self, tau, method, tmp_path, capsys):
+        # not a solver failure at the first step: no step is taken
+        assert main(["simulate", "--cells", "3", "--steps", "2", f"--tau={tau}", "--method", method,
+                     "--out", str(tmp_path / "bad")]) == EXIT_USAGE
+        assert "tau must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "bad" / "drift.csv").exists()
+
+    @pytest.mark.parametrize("t_final", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("args", [["spatial-order", "--grids", "4", "8"], ["temporal-order"]])
+    def test_t_final_must_be_positive(self, args, t_final, tmp_path, capsys):
+        assert main([*args, "--orders", "2", f"--t-final={t_final}",
+                     "--out", str(tmp_path / "bad")]) == EXIT_USAGE
+        assert "--t-final must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "bad" / "errors.csv").exists()
+
+    @pytest.mark.parametrize("n_seeds", ["0", "-1"])
+    def test_timing_needs_a_seed(self, n_seeds, tmp_path, capsys):
+        assert main(["timing", "--steps", "2", "--n-seeds", n_seeds, "--methods", "rm2",
+                     "--out", str(tmp_path / "bad")]) == EXIT_USAGE
+        assert "--n-seeds must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "bad" / "timing.csv").exists()
+
     def test_solver_failure_exit(self, tmp_path):
         code = main(["simulate", "--cells", "4", "--steps", "2", "--tau", "0.5",
                      "--method", "dmm", "--tol", "1e-30", "--max-iters", "2",

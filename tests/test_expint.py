@@ -14,8 +14,6 @@ from vortexblob.expint import (
     CUTOFF,
     SERIES_MAX,
     _horner,
-    _horner_floats,
-    _horner_numpy,
     e1_reference,
     exp_integral_e1,
 )
@@ -80,44 +78,23 @@ def test_scalar_and_array_agree():
         assert exp_integral_e1(float(x)) == v
 
 
-def _float_limit(coef):
-    """The largest size of a 1-D array that _horner sends to its float loop, or -1."""
-    sizes = []
-
-    def spy(x, c):
-        sizes.append(x.size)
-        return _horner_floats(x, c)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(expint, "_horner_floats", spy)
-        for n in range(200):
-            _horner(np.ones(n), coef)
-    assert sizes == list(range(len(sizes)))  # every size up to the limit, none above
-    return len(sizes) - 1
-
-
-# E1's table is the longest polynomial, so its limit is the largest.
-FLOAT_LIMIT = _float_limit(_POW_COEF)
-
-
 @pytest.mark.parametrize("lo, hi, bound", [(1e-12, SERIES_MAX, 1e-15), (SERIES_MAX, CUTOFF, 2e-15),
                                           (1e-12, 3 * CUTOFF, 2e-15)],
                          ids=["series", "table", "mixed"])
 def test_each_regime_is_size_independent_and_accurate(lo, hi, bound):
     # 1e5 log-uniform points on (lo, hi]: every element gets the same bits
-    # from a call on any size from 1 to 2 FLOAT_LIMIT + 1, across the switch
-    # from E1's float path to its numpy path and _horner's from Python floats
-    # to numpy, or on all of them, and each is within bound of mpmath
-    # (e1_reference sums the same series below 1).  The mixed arrays hold
-    # all three regimes, the zeros above CUTOFF among them.
+    # from a call on any size from 1 to 2 _E1_FLOATS_MAX + 1, across the
+    # switch from E1's float path to its numpy path, or on all of them, and
+    # each is within bound of mpmath (e1_reference sums the same series
+    # below 1).  The mixed arrays hold all three regimes, the zeros above
+    # CUTOFF among them.
     mpmath = pytest.importorskip("mpmath")
-    assert expint._E1_FLOATS_MAX < 2 * FLOAT_LIMIT + 1
     rng = np.random.default_rng(11)
     xs = np.exp(rng.uniform(np.log(lo), np.log(hi), 100_000))
     xs = xs[(xs > lo) & (xs <= hi)]
     vals = exp_integral_e1(xs)
     assert all(exp_integral_e1(float(x)) == v for x, v in zip(xs[:3000], vals[:3000]))
-    for size in range(1, 2 * FLOAT_LIMIT + 2):
+    for size in range(1, 2 * expint._E1_FLOATS_MAX + 2):
         parts = np.concatenate([exp_integral_e1(xs[k:k + size]) for k in range(0, 3000, size)])
         assert np.array_equal(parts, vals[:len(parts)]), size
     zero = xs > CUTOFF
@@ -176,48 +153,14 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.uint64)
 
 
-def test_float_limit_of_each_table():
-    # the float loop pays where numpy's per-call cost dominates: long tables
-    # on a few elements, never two coefficients on more than one
-    assert 8 <= FLOAT_LIMIT <= 40
-    assert all(_float_limit(coef) <= FLOAT_LIMIT for coef in HORNER_TABLES.values())
-    assert _float_limit((1.0, 2.0)) <= 1
-
-
-_ELEMENTS = st.one_of(
-    st.floats(min_value=-1.0, max_value=1.0),  # E1's t
-    st.floats(min_value=0.0, max_value=800.0),  # xi
-    st.floats(allow_nan=True, allow_infinity=True),  # overflow, inf and nan
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(HORNER_TABLES)), st.data())
-def test_float_and_numpy_loops_agree_bitwise(name, data):
-    coef = HORNER_TABLES[name]
-    values = data.draw(st.lists(_ELEMENTS, max_size=2 * FLOAT_LIMIT + 1))
-    rows = data.draw(st.sampled_from([None, 1, 2, 3]))
-    x = np.array(values, dtype=float)
-    if rows is not None:  # 2-D: as many whole rows as fit
-        x = x[:len(x) // rows * rows].reshape(rows, -1)
-    with np.errstate(all="ignore"):
-        want = _horner_numpy(x, coef)
-        for got in (_horner_floats(x, coef), _horner(x, coef)):
-            assert type(got) is np.ndarray and got.shape == x.shape
-            assert np.array_equal(_bits(got), _bits(want))
-
-
 @pytest.mark.parametrize("name", sorted(HORNER_TABLES))
 def test_scalars_and_0d_stay_numpy_scalars(name):
+    # a numpy scalar and a 0-d array give numpy scalars with the bits of the
+    # same points in an array; the table's first term alone gives its bare
+    # coefficient, with no x * 0 step
     coef = HORNER_TABLES[name]
-    for x in (np.float64(2.5), np.array(11.0)):
-        got, want = _horner(x, coef), _horner_numpy(x, coef)
-        assert type(got) is type(want) is np.float64 and _bits(got) == _bits(want)
-
-
-def test_float_loop_overflow_still_warns():
-    # Python floats overflow quietly; the call is redone on numpy, which warns
-    x = np.array([1e20, 0.5])
-    with pytest.warns(RuntimeWarning):
-        out = _horner(x, _POW_COEF)
-    assert np.isinf(out[0]) and np.isfinite(out[1])
+    want = _horner(np.array([2.5, 11.0]), coef)
+    for k, x in enumerate((np.float64(2.5), np.array(11.0))):
+        got = _horner(x, coef)
+        assert type(got) is np.float64 and _bits(got) == _bits(want[k])
+    assert _horner(np.array([2.5, 11.0]), coef[:1]) is coef[0]

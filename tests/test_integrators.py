@@ -345,6 +345,23 @@ class TestAdvance:
                 advance(system, args[0], 0.1, *args[1:])
             assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_non_finite_tau_rejected_before_any_step(self, method, tau, monkeypatch):
+        system, state = four_vortex_ring(2)
+        calls = []
+        for name in ("rk4_step", "rm2_step", "rm4_step", "imm_step", "dmm_step", "conserved"):
+            monkeypatch.setattr(vortexblob.integrators, name, lambda *args, **kwargs: calls.append(args))
+        for run in (advance, integrate):
+            with pytest.raises(ConfigurationError, match="tau must be finite"):
+                run(system, state, tau, 3, method)
+        assert calls == []
+
+    @pytest.mark.parametrize("tau", [0.0, -0.3])
+    def test_zero_and_negative_tau_are_steps(self, tau):
+        system, state = random_system(4, 6, 5)
+        assert advance(system, state, tau, 2, "dmm").t == integrate(system, state, tau, 2, "dmm")[1].t == 2 * tau
+
     def test_solver_failure_tagged_with_step(self, monkeypatch):
         # the third step runs out of iterates
         system, state = random_system(2, 4, 7)
