@@ -186,13 +186,17 @@ def _check_positive(flag, *values):
 def cmd_temporal_order(args):
     _check_positive("--taus", *args.taus)
     _check_positive("--t-final", args.t_final)
+    steps = [int(round(args.t_final / tau)) for tau in args.taus]
+    if 0 in steps:
+        tau = args.taus[steps.index(0)]
+        raise ConfigurationError(f"--taus {tau:g} takes no step to --t-final {args.t_final:g}: "
+                                 "each step size must be below twice --t-final")
     solver = _solver_from_args(args)
 
     def points_of(m):
         system, state = four_vortex_ring(m)
         points = []
-        for tau in args.taus:
-            n_steps = int(round(args.t_final / tau))
+        for tau, n_steps in zip(args.taus, steps):
             final = advance(system, state, tau, n_steps, args.method, solver=solver)
             points.append((tau, temporal_error(final, four_vortex_exact(n_steps * tau, m))))
         return points

@@ -287,6 +287,17 @@ class TestExitCodes:
         assert "--t-final must be positive" in capsys.readouterr().err
         assert not (tmp_path / "bad" / "errors.csv").exists()
 
+    @pytest.mark.parametrize("taus", [["0.5"], ["0.05", "0.025", "0.4"]])
+    def test_tau_without_a_step_is_usage_error(self, taus, tmp_path, capsys, monkeypatch):
+        # round(t_final / tau) = 0 steps measured an error of exactly 0 at tau = 0.5
+        runs = []
+        monkeypatch.setattr(cli, "advance", lambda *args, **kwargs: runs.append(args))
+        assert main(["temporal-order", "--taus", *taus, "--orders", "2", "--t-final", "0.2",
+                     "--out", str(tmp_path / "bad")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--taus" in err and "--t-final" in err
+        assert runs == [] and not (tmp_path / "bad" / "errors.csv").exists()
+
     @pytest.mark.parametrize("n_seeds", ["0", "-1"])
     def test_timing_needs_a_seed(self, n_seeds, tmp_path, capsys):
         assert main(["timing", "--steps", "2", "--n-seeds", n_seeds, "--methods", "rm2",

@@ -1,5 +1,7 @@
 """Baseline integrators and the trajectory driver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -368,9 +370,9 @@ class TestAdvance:
         calls = []
         real_dmm_step = vortexblob.integrators.dmm_step
 
-        def failing_dmm_step(system, state, tau, solver):
+        def failing_dmm_step(system, state, tau, solver, guess):
             calls.append(1)
-            return real_dmm_step(system, state, tau, SolverConfig(max_iters=1) if len(calls) == 3 else solver)
+            return real_dmm_step(system, state, tau, SolverConfig(max_iters=1) if len(calls) == 3 else solver, guess)
 
         monkeypatch.setattr(vortexblob.integrators, "dmm_step", failing_dmm_step)
         failures = []
@@ -383,6 +385,87 @@ class TestAdvance:
         assert got.step_index == want.step_index == 3
         assert (got.iterations, got.residual) == (want.iterations, want.residual)
         assert np.array_equal(got.last_state.x, want.last_state.x)
+
+
+def euler_start_loop(system, state, tau, n_steps, method):
+    """n_steps of the implicit step without a guess: (final state, total iterates)."""
+    step = getattr(vortexblob.integrators, f"{method}_step")
+    iterations = 0
+    for _ in range(n_steps):
+        out = step(system, state, tau)
+        state, iterations = out.next, iterations + out.iterations
+    return state, iterations
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("method", ["imm", "dmm"])
+    def test_first_two_steps_start_from_euler(self, method):
+        system, state = random_system(4, 6, 3)
+        want, _ = euler_start_loop(system, state, 0.3, 2, method)
+        for got in (advance(system, state, 0.3, 2, method), integrate(system, state, 0.3, 2, method)[1]):
+            assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+
+    @pytest.mark.parametrize("method", ["imm", "dmm"])
+    def test_guess_extrapolates_the_accepted_positions(self, method, monkeypatch):
+        system, state = random_system(2, 4, 8)
+        real_step = getattr(vortexblob.integrators, f"{method}_step")
+        accepted, guesses = [np.array((state.x, state.y))], []
+
+        def spy(system, state, tau, solver, guess):
+            guesses.append(guess)
+            out = real_step(system, state, tau, solver, guess)
+            accepted.append(np.array((out.next.x, out.next.y)))
+            return out
+
+        monkeypatch.setattr(vortexblob.integrators, f"{method}_step", spy)
+        advance(system, state, 0.5, 7, method)
+        assert guesses[0] is None and guesses[1] is None
+        for k in range(2, 7):  # the guess of step k + 1 from x_k, x_{k-1}, ..., x_{k-d}
+            d = min(k, vortexblob.integrators._DEGREE)
+            want = sum((-1) ** j * math.comb(d + 1, j + 1) * accepted[k - j] for j in range(d + 1))
+            np.testing.assert_allclose(guesses[k], want, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("d", range(2, vortexblob.integrators._DEGREE + 1))
+    def test_extrapolation_is_exact_on_polynomials_of_its_degree(self, d):
+        t = 7.0 - np.arange(d + 1)  # newest first, the next point at t = 8
+        for p in range(d + 1):
+            assert vortexblob.integrators._EXTRAPOLATION[d] @ t**p == 8.0**p
+
+    @pytest.mark.parametrize("method", ["imm", "dmm"])
+    def test_final_states_match_the_euler_start(self, method):
+        # M = 3 systems at tau = 1, as the timing experiment runs them, and the ring
+        cases = [(random_system(2, 3, seed), 1.0) for seed in range(16)]
+        cases += [(four_vortex_ring(m), 0.25) for m in (2, 4, 6)]
+        for (system, state), tau in cases:
+            want, euler_iterations = euler_start_loop(system, state, tau, 20, method)
+            record, got = integrate(system, state, tau, 20, method)
+            assert np.abs(got.x - want.x).max() <= 1e-10 and np.abs(got.y - want.y).max() <= 1e-10
+            assert sum(record.iterations) <= euler_iterations
+
+    @pytest.mark.parametrize("method", ["imm", "dmm"])
+    def test_converged_guess_takes_one_iterate(self, method):
+        system, state = random_system(4, 5, 2)
+        step = getattr(vortexblob.integrators, f"{method}_step")
+        out = step(system, state, 0.5)
+        again = step(system, state, 0.5, guess=np.array((out.next.x, out.next.y)))
+        assert again.iterations == 1 and again.residual <= DEFAULT_SOLVER.threshold(state)
+        assert np.abs(again.next.x - out.next.x).max() <= DEFAULT_SOLVER.threshold(state)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_extrapolation_falls_back_to_euler(self, monkeypatch):
+        # accepted positions of +-1e308 are finite, but 3 x_2 - 3 x_1 + x_0 overflows
+        system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=[1.0, -1.0])
+        guesses = []
+
+        def scripted_step(system, state, tau, solver, guess):
+            guesses.append(guess)
+            sign = -1.0 if len(guesses) % 2 else 1.0
+            return vortexblob.integrators.StepOutcome(
+                next=State(x=[sign * 1e308, 0.0], y=[0.0, 1.0], t=state.t + tau), iterations=1, residual=0.0)
+
+        monkeypatch.setattr(vortexblob.integrators, "dmm_step", scripted_step)
+        advance(system, State(x=[1e308, 0.0], y=[0.0, 1.0]), 1.0, 6, "dmm")
+        assert guesses == [None] * 6
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -147,6 +147,10 @@ class TestDynamics:
             vel = velocity_field(sub, sub_state, np.array([state.x[i], state.y[i]]))
             assert vel[0] == pytest.approx(fx[i], abs=1e-15)
             assert vel[1] == pytest.approx(fy[i], abs=1e-15)
+        # at the vortices themselves the zero distances take the weight's
+        # finite limit, and their vanishing differences drop the self-terms
+        vel = velocity_field(system, state, np.stack([state.x, state.y], axis=1))
+        np.testing.assert_allclose(vel.T, np.array((fx, fy)), rtol=0.0, atol=1e-15)
 
     def test_coincident_strength_pair_raises(self):
         system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=np.array([1.0, 1.0]))
