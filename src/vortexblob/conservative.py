@@ -10,19 +10,14 @@ linear impulses, angular impulse, and Hamiltonian of the system are
 preserved exactly (up to solver tolerance) on each step.  This module
 builds f_tau, its residual, and the discrete multiplier identities behind
 the conservation; :func:`vortexblob.integrators.dmm_step` solves the
-update.  ``PrevLevel`` builds the prev level once per step: over the
+update.  ``PrevLevel`` builds the prev level once per step, over the
 chunked pair triangle i < j of :mod:`vortexblob.model`, which checks for
-coincident vortices, it splits each chunk by xi_k into a near part, which
-holds each pair's differences and r2, exp(-xi_k), W(xi_k) (model's
-``potential_tail``, the pair potential less its log) and the c_tau
-switch band (64 bytes a pair), and a far part, which holds the
-differences and r2 alone (40 bytes a pair).  Each Picard iterate then
-forms only the cand level and scatters each pair's antisymmetric
-contribution to both of its vortices: to j by ``np.bincount``, to i by
-``np.add.reduceat`` over the row segments of the part, which the
-triangle keeps sorted by i.
-``dmm_rhs`` is the one-call form (build, evaluate once).  The discrete
-multiplier is model's ``multiplier`` built from f_tau.
+coincident vortices, in near and far parts (see its docstring).  Each
+Picard iterate then forms only the cand level, ``PrevLevel.field(u)`` at
+the (2, M) iterate u, and scatters each pair's antisymmetric contribution
+to both of its vortices.  ``dmm_rhs`` is the one-call form (build,
+evaluate once).  The discrete multiplier is model's ``multiplier`` built
+from f_tau.
 
 The divided-difference factor ``c_tau`` is that of the pair potential
 V = log xi + W(xi) whose sum is the Hamiltonian, in closed form
@@ -102,24 +97,25 @@ def _closed_form(m, w_k, xi_k1, z, s):
     return (np.log(np.abs(z)) + potential_tail(m, xi_k1) - w_k) / s
 
 
-def _band(xi_k, eps):
-    """The c_tau switch band clip(xi_k, eps, 2)/2 of the prev-level xi_k; c_tau's docstring gives the rule."""
-    return np.clip(xi_k, eps, 2.0) / 2.0
+def _band(xi_k):
+    """The c_tau switch band clip(xi_k, eps, 2)/2 of the prev-level xi_k, eps = DEFAULT_CTAU.epsilon_switch; c_tau's docstring gives the rule."""
+    return np.clip(xi_k, DEFAULT_CTAU.epsilon_switch, 2.0) / 2.0
 
 
-def _c_tau(m, xi_k, e_k, w_k, band, xi_k1, eps):
-    """c_tau on arrays of pairs from the prev-level terms e_k = exp(-xi_k), w_k = W(xi_k) and band = _band(xi_k, eps).
+def _c_tau(m, xi_k, e_k, w_k, band, xi_k1):
+    """c_tau on arrays of pairs from the prev-level terms e_k = exp(-xi_k), w_k = W(xi_k) and band = _band(xi_k).
 
-    Taylor where |z - 1| band <= eps, the closed form elsewhere; w_k None
-    computes W(xi_k) from e_k where the closed form is taken.  A chunk that mixes
-    the two takes the closed form on every pair, with s = 1 at the Taylor
-    pairs so that z = 1 never divides 0 by 0, and then the Taylor form on
-    the Taylor pairs alone, picked by index: that costs less than copying
-    the closed pairs out by boolean mask.
+    Taylor where |z - 1| band <= eps = DEFAULT_CTAU.epsilon_switch, read at
+    the call, the closed form elsewhere; w_k None computes W(xi_k) from e_k
+    where the closed form is taken.  A chunk that mixes the two takes the
+    closed form on every pair, with s = 1 at the Taylor pairs so that z = 1
+    never divides 0 by 0, and then the Taylor form on the Taylor pairs
+    alone, picked by index: that costs less than copying the closed pairs
+    out by boolean mask.
     """
     z = xi_k1 / xi_k
     s = z - 1.0
-    near = np.abs(s) * band <= eps
+    near = np.abs(s) * band <= DEFAULT_CTAU.epsilon_switch
     if near.all():
         return _taylor_form(m, xi_k, e_k, s)
     if w_k is None:
@@ -160,7 +156,7 @@ def _far_threshold(q):
 _XI_FAR = {m: _far_threshold(poly.q) for m, poly in ORDER_POLYNOMIALS.items()}
 
 
-def _far_form(m, r2_k, r2_k1, d2, eps):
+def _far_form(m, r2_k, r2_k1, d2):
     """c_tau of pairs with xi_k = r2_k/d2 above _XI_FAR[m], on arrays.
 
     log1p(s)/s with s = (r2_k1 - r2_k)/r2_k formed from the difference, so
@@ -173,7 +169,7 @@ def _far_form(m, r2_k, r2_k1, d2, eps):
     back = np.flatnonzero(r2_k1 <= _XI_FAR[m] * d2)
     if back.size:
         xi_k = r2_k[back] / d2
-        out[back] = _c_tau(m, xi_k, np.exp(-xi_k), None, 1.0, r2_k1[back] / d2, eps)
+        out[back] = _c_tau(m, xi_k, np.exp(-xi_k), None, 1.0, r2_k1[back] / d2)
     return out
 
 
@@ -225,20 +221,19 @@ def c_tau(m, xi_k, xi_k1):
         raise DomainError("c_tau requires positive separations at both time levels")
     scalar = xi_k.ndim == 0 and xi_k1.ndim == 0
     xi_k, xi_k1 = np.broadcast_arrays(np.atleast_1d(xi_k), np.atleast_1d(xi_k1))
-    eps = DEFAULT_CTAU.epsilon_switch
     out = np.empty(xi_k.shape)
     far = xi_k > _XI_FAR[m]
     near, far = np.flatnonzero(~far), np.flatnonzero(far)
     a = xi_k[near]
-    out[near] = _c_tau(m, a, np.exp(-a), None, _band(a, eps), xi_k1[near], eps)
-    out[far] = _far_form(m, xi_k[far], xi_k1[far], 1.0, eps)
+    out[near] = _c_tau(m, a, np.exp(-a), None, _band(a), xi_k1[near])
+    out[far] = _far_form(m, xi_k[far], xi_k1[far], 1.0)
     return float(out[0]) if scalar else out
 
 
 # The two parts of a prev-level chunk: pairs i < j at nonzero distance in
 # the triangle's order, so sorted by i, with their differences dx, dy and
 # r2.  A near pair (xi = r2/delta^2 at most xi_far) also holds e = exp(-xi),
-# w = W(xi), the potential_tail, and the c_tau switch band _band(xi, eps);
+# w = W(xi), the potential_tail, and the c_tau switch band _band(xi);
 # a far pair's c_tau needs r2 alone.
 _NearPairs = namedtuple("_NearPairs", "i j dx dy r2 e w band")
 _FarPairs = namedtuple("_FarPairs", "i j dx dy r2")
@@ -247,13 +242,13 @@ _FarPairs = namedtuple("_FarPairs", "i j dx dy r2")
 _Part = namedtuple("_Part", "pairs rows starts")
 
 
-def _prev_parts(system, prev, i, j, eps):
+def _prev_parts(system, prev, i, j):
     """The near and far parts of the pairs (i, j) at the prev level, less those at zero distance.
 
     A part without pairs is left out.  Each part comes with its row
     segments, found once.
     """
-    dx, dy, r2, keep = pair_differences(system, prev.x, prev.y, i, j)
+    dx, dy, r2, keep = pair_differences(system, *prev.xy, i, j)
     pairs = drop_coincident(keep, i, j, dx, dy, r2)
     xi = pairs[4] / system.delta**2
     far = xi > _XI_FAR[system.m]
@@ -265,7 +260,7 @@ def _prev_parts(system, prev, i, j, eps):
         if kind is _NearPairs:
             xi_k = xi[idx]
             e = np.exp(-xi_k)
-            cols += [e, potential_tail(system.m, xi_k, e), _band(xi_k, eps)]
+            cols += [e, potential_tail(system.m, xi_k, e), _band(xi_k)]
         p = kind(*cols)
         starts = np.flatnonzero(np.concatenate(([True], p.i[1:] != p.i[:-1])))
         parts.append(_Part(p, p.i[starts], starts))
@@ -282,14 +277,13 @@ class PrevLevel:
 
     Splits each tile-sized chunk of the pair triangle i < j by xi_k against
     the order's far threshold (_far_threshold).  A near pair holds its
-    prev-level differences and r2, exp(-xi_k), W(xi_k) and the c_tau switch
+    prev-level differences and r2, exp(-xi_k), W(xi_k) (model's
+    potential_tail, the pair potential less its log) and the c_tau switch
     band, 64 bytes; xi_k = r2/delta^2 is formed again per iterate.  A far pair
     holds its differences and r2 alone, 40 bytes, and takes _far_form:
     log1p(s)/s, with no exp, E1 or band, unless its xi_k1 falls to the
     threshold.  At most _HELD_PAIRS pairs are held, which bounds the memory
-    at large M; the chunks past them are rebuilt on each evaluation.  The
-    c_tau switch, DEFAULT_CTAU.epsilon_switch, is read once, when the level
-    is built.
+    at large M; the chunks past them are rebuilt on each evaluation.
 
     Each part keeps the triangle's order, sorted by i, and holds its row
     segments, found once here: the i-side of the scatter is one
@@ -300,7 +294,6 @@ class PrevLevel:
 
     def __init__(self, system, prev):
         self.system, self.prev = system, prev
-        self.eps = DEFAULT_CTAU.epsilon_switch
         self.d2 = system.delta**2
         self.scale = system.kappa / (4.0 * np.pi)  # kappa/2pi times the midpoint's 1/2
         self.held, self.rest = [], system.size
@@ -310,23 +303,23 @@ class PrevLevel:
                 self.rest = int(i[0])
                 break
             budget -= i.size
-            self.held += _prev_parts(system, prev, i, j, self.eps)
+            self.held += _prev_parts(system, prev, i, j)
 
     def _parts(self):
         yield from self.held
         for i, j in triangle_blocks(self.system.size, self.rest):
-            yield from _prev_parts(self.system, self.prev, i, j, self.eps)
+            yield from _prev_parts(self.system, self.prev, i, j)
 
     def _weights(self, p, r2):
         """c_tau / r2_k of the pairs p at the cand r2."""
         if isinstance(p, _FarPairs):
-            c = _far_form(self.system.m, p.r2, r2, self.d2, self.eps)
+            c = _far_form(self.system.m, p.r2, r2, self.d2)
         else:
-            c = _c_tau(self.system.m, p.r2 / self.d2, p.e, p.w, p.band, r2 / self.d2, self.eps)
+            c = _c_tau(self.system.m, p.r2 / self.d2, p.e, p.w, p.band, r2 / self.d2)
         return c / p.r2
 
-    def field(self, x, y):
-        """f_tau(prev, cand) at the cand positions (x, y): midpoint differences weighted by c_tau / r2_k, each pair scattered to i and j.
+    def field(self, u):
+        """f_tau(prev, cand) at the cand positions u, a (2, M) array: midpoint differences weighted by c_tau / r2_k, each pair scattered to i and j.
 
         Returns the (2, M) array (xdot, ydot), as rhs does.
         """
@@ -335,7 +328,7 @@ class PrevLevel:
         out = np.zeros((2, n))
         xdot, ydot = out
         for p, rows, starts in self._parts():
-            dx, dy, r2, keep = pair_differences(system, x, y, p.i, p.j)
+            dx, dy, r2, keep = pair_differences(system, *u, p.i, p.j)
             if keep is None:
                 w = self._weights(p, r2)
             else:  # a pair at zero distance gets no weight, and the segments stay whole
@@ -358,19 +351,16 @@ def dmm_rhs(system, prev, cand):
     The pair weight c_tau / r2^k replaces C(r2)/r2 of the continuous rhs,
     to which this reduces when cand == prev.  Pairs at zero distance on
     either level (coincident zero-strength vortices) get no weight.  The
-    one-call form of PrevLevel(system, prev).field(cand).
+    one-call form of PrevLevel(system, prev).field(cand.xy).
     """
-    return PrevLevel(system, prev).field(cand.x, cand.y)
+    return PrevLevel(system, prev).field(cand.xy)
 
 
 def dmm_residual(system, prev, cand, tau):
-    """Residual of the conservative update: (cand - prev)/tau - f_tau."""
+    """Residual of the conservative update, (cand - prev)/tau - f_tau, as a (2, M) array that unpacks as (rx, ry)."""
     if tau == 0.0:
         raise ConfigurationError("tau must be nonzero")
-    fx, fy = dmm_rhs(system, prev, cand)
-    rx = (cand.x - prev.x) / tau - fx
-    ry = (cand.y - prev.y) / tau - fy
-    return rx, ry
+    return (cand.xy - prev.xy) / tau - dmm_rhs(system, prev, cand)
 
 
 def discrete_multiplier_residuals(system, prev, cand, tau):
@@ -383,10 +373,10 @@ def discrete_multiplier_residuals(system, prev, cand, tau):
     identically for arbitrary state pairs, not just scheme solutions.
     """
     f = dmm_rhs(system, prev, cand)
-    lam = multiplier(system.kappa, 0.5 * (cand.x + prev.x), 0.5 * (cand.y + prev.y), *f)
-    dx = np.concatenate([cand.x - prev.x, cand.y - prev.y]) / tau
+    lam = multiplier(system.kappa, 0.5 * (cand.xy + prev.xy), f)
+    dx = (cand.xy - prev.xy).ravel() / tau
     psi_prev = conserved(system, prev).as_array()
     psi_cand = conserved(system, cand).as_array()
     res1 = float(np.abs(lam @ dx - (psi_cand - psi_prev) / tau).max())
-    res2 = float(np.abs(lam @ np.concatenate(f)).max())
+    res2 = float(np.abs(lam @ f.ravel()).max())
     return res1, res2

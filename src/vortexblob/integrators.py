@@ -67,8 +67,7 @@ class SolverConfig:
 
     def threshold(self, state):
         """Absolute convergence threshold for a step starting at state."""
-        scale = max(1.0, float(np.abs(state.x).max(initial=0.0)), float(np.abs(state.y).max(initial=0.0)))
-        return self.tol * scale
+        return self.tol * max(1.0, float(np.abs(state.xy).max(initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -119,25 +118,20 @@ def _combine(u, h, terms, ks):
 
 
 def _positions(v):
-    """v, positions stacked as (2, M), once it is finite; a non-finite one is a blow-up of the step."""
+    """v, a (2, M) array of positions, once it is finite; a non-finite one is a blow-up of the step."""
     if not np.isfinite(v).all():
         raise SolverFailureError(0, np.inf, message="step produced non-finite positions")
     return v
 
 
 def _explicit_rk_step(tableau, system, state, tau):
-    """One step of an explicit Runge-Kutta method; positions and rhs values stacked as (2, M).
-
-    Each stage reaches rhs as the checked (2, M) array; only the returned
-    State is built, and validated, as a State.
-    """
+    """One explicit Runge-Kutta step from state.xy: each stage reaches rhs as a checked (2, M) array; only the returned State is built."""
     stages, (scale, terms) = tableau
-    u = np.array((state.x, state.y))
-    ks = [rhs(system, state)]
+    u = state.xy
+    ks = [rhs(system, u)]
     for stage_scale, stage_terms in stages:
         ks.append(rhs(system, _positions(_combine(u, stage_scale * tau, stage_terms, ks))))
-    v = _positions(_combine(u, scale * tau, terms, ks))
-    return State(x=v[0], y=v[1], t=state.t + tau)
+    return State.from_xy(_positions(_combine(u, scale * tau, terms, ks)), state.t + tau)
 
 
 def rk4_step(system, state, tau):
@@ -229,15 +223,14 @@ class _History:
     """The last _DEGREE + 1 accepted positions of a trajectory, newest first, in one (_DEGREE + 1, 2, M) buffer."""
 
     def __init__(self, state):
-        self.rows = np.empty((_DEGREE + 1, 2, state.x.size))
+        self.rows = np.empty((_DEGREE + 1, *state.xy.shape))
         self.flat = self.rows.reshape(_DEGREE + 1, -1)
         self.count = 0
         self.push(state)
 
     def push(self, state):
         self.rows[1:] = self.rows[:-1]
-        self.rows[0, 0] = state.x
-        self.rows[0, 1] = state.y
+        self.rows[0] = state.xy
         self.count += 1
 
     @np.errstate(over="ignore", invalid="ignore")  # a non-finite extrapolation is the Euler start
@@ -256,15 +249,13 @@ class _History:
 
 
 def _fixed_point(state, tau, solver, velocity, field_at, guess=None):
-    """Solve x = state + tau * field_at(x, y) by iteration from the Euler step or from a guess.
+    """Solve u = state.xy + tau * field_at(u) by iteration from the Euler step or from a guess.
 
-    Without a guess, velocity is the ODE field at the start state,
-    rhs(system, state), so the first iterate is the explicit Euler step
-    state + tau * velocity.  With guess, a finite (2, M) array of
-    positions, velocity is None and the first iterate is G(guess), where
-    G(u) = state + tau * field_at(u).  Each later iterate evaluates G(u),
-    with the iterate u a (2, M) array that no State wraps.  rhs and f_tau
-    return (2, M) arrays, used as they are; a pair (xdot, ydot) is stacked.
+    The iterates u, which no State wraps, and the field's values are (2, M)
+    arrays.  Without a guess, velocity is rhs(system, state), so the first
+    iterate is the explicit Euler step state.xy + tau * velocity.  With
+    guess, a finite (2, M) array, velocity is None and the first iterate is
+    G(guess), G(u) = state.xy + tau * field_at(u), as every later one is.
     Converged when the max-norm update |G(u) - u| is at most
     solver.threshold(state), returning G(u); the iteration count includes
     the first iterate.  The next iterate is G(u) (Picard) until an update
@@ -275,7 +266,7 @@ def _fixed_point(state, tau, solver, velocity, field_at, guess=None):
     DomainError at an iterate (an overflow of the pair terms), or after
     solver.max_iters iterates.
     """
-    u0 = np.array((state.x, state.y))
+    u0 = state.xy
     u = u0 if guess is None else guess
     threshold = solver.threshold(state)
     residual = np.inf
@@ -283,24 +274,24 @@ def _fixed_point(state, tau, solver, velocity, field_at, guess=None):
     for iteration in range(1, solver.max_iters + 1):
         if iteration > 1 or velocity is None:
             try:
-                velocity = field_at(u[0], u[1])
+                velocity = field_at(u)
             except DomainError as exc:
                 raise SolverFailureError(
-                    iteration, residual, last_state=State(x=u[0], y=u[1], t=state.t + tau),
+                    iteration, residual, last_state=State.from_xy(u, state.t + tau),
                     message=f"iterate {iteration} is outside the field's domain: {exc}",
                 ) from exc
-        g = u0 + tau * np.asarray(velocity)
+        g = u0 + tau * velocity
         f = g - u
         previous, residual = residual, float(np.abs(f).max(initial=0.0))
         if not math.isfinite(residual):  # u is finite, so the new iterate is not
             raise SolverFailureError(iteration, residual, message=f"iterate {iteration} is not finite")
         if residual <= threshold:
-            return StepOutcome(next=State(x=g[0], y=g[1], t=state.t + tau), iterations=iteration, residual=residual)
+            return StepOutcome(next=State.from_xy(g, state.t + tau), iterations=iteration, residual=residual)
         if mixer is None and residual > _RHO_MIX * previous:
             mixer = _Mixer(g.size)
         u = g if mixer is None else mixer.next_iterate(f, g, f_prev, g_prev)
         f_prev, g_prev = f, g
-    raise SolverFailureError(solver.max_iters, residual, last_state=State(x=u[0], y=u[1], t=state.t + tau))
+    raise SolverFailureError(solver.max_iters, residual, last_state=State.from_xy(u, state.t + tau))
 
 
 def imm_step(system, state, tau, solver=DEFAULT_SOLVER, guess=None):
@@ -312,10 +303,8 @@ def imm_step(system, state, tau, solver=DEFAULT_SOLVER, guess=None):
     impulse) to solver tolerance; the Hamiltonian is only approximately
     conserved.
     """
-    return _fixed_point(
-        state, tau, solver, rhs(system, state) if guess is None else None,
-        lambda x, y: rhs(system, (0.5 * (state.x + x), 0.5 * (state.y + y))), guess,
-    )
+    return _fixed_point(state, tau, solver, rhs(system, state.xy) if guess is None else None,
+                        lambda u: rhs(system, 0.5 * (state.xy + u)), guess)
 
 
 def dmm_step(system, state, tau, solver=DEFAULT_SOLVER, guess=None):
@@ -332,7 +321,7 @@ def dmm_step(system, state, tau, solver=DEFAULT_SOLVER, guess=None):
     does not drop to solver.threshold(state), tol times the position scale
     max(1, |x|, |y|), within solver.max_iters iterations.
     """
-    return _fixed_point(state, tau, solver, rhs(system, state) if guess is None else None,
+    return _fixed_point(state, tau, solver, rhs(system, state.xy) if guess is None else None,
                         conservative.PrevLevel(system, state).field, guess)
 
 
@@ -383,8 +372,8 @@ def _check_run(system, state, tau, n_steps, method):
     if not math.isfinite(tau):
         raise ConfigurationError(f"tau must be finite, got {tau!r}")
     _check_count("n_steps", n_steps, 0)
-    if state.x.size != system.size:
-        raise ConfigurationError(f"state holds {state.x.size} vortices, the system {system.size}")
+    if state.xy.shape[1] != system.size:
+        raise ConfigurationError(f"state holds {state.xy.shape[1]} vortices, the system {system.size}")
 
 
 def _run(system, state, tau, n_steps, method, solver, after_step=None):

@@ -8,7 +8,8 @@ the velocity field
 where K is the point-vortex kernel and ``C(r2) = 1 - Q(r2/delta^2) *
 exp(-r2/delta^2)`` is the smoothing cutoff of order m in {2, 4, 6}.
 The flow conserves the linear impulses, the angular impulse, and a
-Hamiltonian built from log and exponential-integral terms.
+Hamiltonian built from log and exponential-integral terms.  A ``State``
+holds the positions as one (2, M) array, and every layer takes them so.
 
 Every O(M^2) sum of the package runs over one of three traversals here,
 each of which touches at most ``_TILE`` pair entries at a time, so its
@@ -23,8 +24,9 @@ sum over pairs (the Hamiltonian in ``conserved`` and the conservative
 scheme's f_tau), each of which leaves out the zero-distance pairs of a
 zero-strength vortex by ``drop_coincident``.  The band and the triangle
 raise PairDegeneracyError on coincident strength-bearing vortices, and
-DomainError where a squared distance overflows.  The multiplier of the
-conservation laws is built from a vector field by ``multiplier``.  Every per-order polynomial is evaluated by
+all three raise DomainError where a squared distance overflows.  The
+multiplier of the conservation laws is built from a vector field by
+``multiplier``.  Every per-order polynomial is evaluated by
 :func:`vortexblob.expint._horner`, the package's one Horner, which E1's
 table also uses.
 """
@@ -167,29 +169,47 @@ class BlobSystem:
         return self.kappa.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class State:
-    """Vortex positions at one instant.
+    """Vortex positions at one instant: the (2, M) float array xy, whose rows are x and y; numpy reads a State as xy.
 
-    Every State validates its positions when it is built: two 1-d float
-    arrays of equal length, all finite.  A step builds one, the state it
-    returns; its stages and iterates stay (2, M) arrays that the step has
-    checked itself, and reach ``rhs`` as they are.
+    Every State checks that its positions are finite when it is built, by
+    State(x=..., y=..., t=...) from two 1-d arrays of equal length or by
+    from_xy.  A step builds one, the state it returns; its stages and
+    iterates stay (2, M) arrays that the step has checked itself.
     """
 
-    x: np.ndarray
-    y: np.ndarray
+    xy: np.ndarray
     t: float = 0.0
 
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+    def __init__(self, x, y, t=0.0):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if x.shape != y.shape or x.ndim != 1:
             raise ConfigurationError("x and y must be 1-d arrays of equal length")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        object.__setattr__(self, "xy", np.array((x, y)))
+        object.__setattr__(self, "t", t)
+        self.__post_init__()
+
+    @classmethod
+    def from_xy(cls, xy, t=0.0):
+        """The State of the positions xy, a (2, M) float array, held without a copy."""
+        state = cls.__new__(cls)
+        object.__setattr__(state, "xy", np.asarray(xy, dtype=float))
+        object.__setattr__(state, "t", t)
+        state.__post_init__()
+        return state
+
+    def __post_init__(self):
+        if self.xy.ndim != 2 or self.xy.shape[0] != 2:
+            raise ConfigurationError(f"positions must have shape (2, M), got {self.xy.shape}")
+        if not np.isfinite(self.xy).all():
             raise ConfigurationError("positions must be finite")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+
+    x = property(lambda self: self.xy[0], doc="The first row of xy.")
+    y = property(lambda self: self.xy[1], doc="The second row of xy.")
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.xy, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)
@@ -237,45 +257,45 @@ def _grow_heap():
 # less a call than the with statement, which builds the context object and
 # calls its enter and exit methods, and at M = 3 each iterate forms one block.
 @np.errstate(over="raise")
-def _differences(p, q):
-    """d = p - q and r2, the sum of d * d over the leading axis; an overflow raises FloatingPointError."""
-    d = p - q
-    dd = d * d
-    return d, dd[0] + dd[1]
+def _differences(p, q, kind, rows):
+    """d = p - q and r2, the sum of d * d over the leading axis; an overflow raises DomainError naming the rows of p."""
+    try:
+        d = p - q
+        dd = d * d
+        return d, dd[0] + dd[1]
+    except FloatingPointError:
+        raise DomainError(f"the squared distances of {kind} {rows.start}-{rows.stop - 1} overflow") from None
 
 
 def pair_blocks(system, state, points=None):
     """The one traversal of pair differences by row blocks: yield (rows, d, r2, zero).
 
-    state is a State or the positions (x, y) as rhs takes them.
-
+    state is a State or its positions, a (2, M) array, as rhs takes them.
     d = (-dy, dx) stacks the differences (dx, dy) of the block's points
     from its vortices turned a quarter turn, the direction of the kernel K,
     and r2 is their squared distances, (2, block, cols) and (block, cols)
     arrays of at most _TILE entries a plane, or one row if it holds more.
     zero indexes the entries r2 = 0 of r2's flat form, as _cutoff_over_r2
     takes it: a slice, a mask, or None where there are none.
-    With points (px, py), the points against every vortex.  Without points,
-    the band of the vortex-vortex matrix: the rows fall in chunks of
-    _BAND_ROWS vortices (all of them if fewer), and a block, rows =
-    slice(a, b) of the chunk that starts at vortex c, runs against the
-    columns [c, M), so its entries [k, a - c + k] are the diagonal, r2 = 0,
-    the flat slice from a - c by steps of M - c + 1.
+    With points, a (2, N) array of positions, the points against every
+    vortex.  Without points, the band of the vortex-vortex matrix: the rows
+    fall in chunks of _BAND_ROWS vortices (all of them if fewer), and a
+    block, rows = slice(a, b) of the chunk that starts at vortex c, runs
+    against the columns [c, M), so its entries [k, a - c + k] are the
+    diagonal, r2 = 0, the flat slice from a - c by steps of M - c + 1.
     A strength-bearing pair at zero distance raises PairDegeneracyError,
     and an r2 that overflows raises DomainError.
     """
     _grow_heap()
     n = system.size
-    x, y = (state.x, state.y) if isinstance(state, State) else state
+    x, y = np.asarray(state)
     xy = np.array((-y, x))
     if points is not None:
         pxy = np.array((-points[1], points[0]))
         step = max(1, _TILE // max(1, n))
         for start in range(0, pxy.shape[1], step):
             sl = slice(start, min(start + step, pxy.shape[1]))
-            d = pxy[:, sl, None] - xy[:, None, :]
-            dd = d * d
-            r2 = dd[0] + dd[1]
+            d, r2 = _differences(pxy[:, sl, None], xy[:, None, :], "points", sl)
             yield sl, d, r2, None if np.count_nonzero(r2) == r2.size else (r2 == 0.0).reshape(-1)
         return
     width = min(_BAND_ROWS, n) or 1
@@ -283,10 +303,7 @@ def pair_blocks(system, state, points=None):
     for c in range(0, n, width):
         for a in range(c, min(c + width, n), step):
             b = min(a + step, c + width, n)
-            try:
-                d, r2 = _differences(xy[:, a:b, None], xy[:, None, c:])
-            except FloatingPointError:
-                raise DomainError(f"the squared distances of vortices {a}-{b - 1} overflow") from None
+            d, r2 = _differences(xy[:, a:b, None], xy[:, None, c:], "vortices", slice(a, b))
             zero = slice(a - c, None, n - c + 1)  # the diagonal
             if r2.size - np.count_nonzero(r2) > b - a:  # a zero off the diagonal
                 live = system.kappa != 0.0
@@ -359,9 +376,9 @@ def drop_coincident(keep, *arrays):
 def rhs(system, state):
     """Right-hand side of the vortex-blob ODEs.
 
-    state is a State, or the positions (x, y) as a (2, M) array or a pair
-    of arrays, which a step passes unchecked for its stages and iterates.
-    Returns the (2, M) array (xdot, ydot), which unpacks as its two rows:
+    state is a State, or its positions as a (2, M) array, which a step
+    passes unchecked for its stages and iterates.  Returns the (2, M)
+    array (xdot, ydot), which unpacks as its two rows:
     sum_j s_j w_ij (-dy_ij, dx_ij), with pair weight w = C(r2)/r2 and
     s = kappa / (2 pi).  Over the band, vortex i takes the pairs of the
     columns from its chunk's first vortex on by its row, summed pairwise;
@@ -399,11 +416,11 @@ def rhs(system, state):
 
 
 def _points(z):
-    """(single, (px, py)) for one point (2,) or an array of points (N, 2); other shapes raise ConfigurationError."""
+    """(single, points as a (2, N) array) for one point (2,) or an array of points (N, 2); other shapes raise ConfigurationError."""
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or z.shape[-1] != 2:
         raise ConfigurationError(f"evaluation points must have shape (2,) or (N, 2), got {z.shape}")
-    return z.ndim == 1, tuple(z.reshape(-1, 2).T)
+    return z.ndim == 1, z.reshape(-1, 2).T
 
 
 def velocity_field(system, state, z):
@@ -413,7 +430,7 @@ def velocity_field(system, state, z):
     has the same leading shape.
     """
     single, points = _points(z)
-    out = np.empty((points[0].size, 2))
+    out = np.empty((points.shape[1], 2))
     scale = system.kappa / (2.0 * np.pi)
     for sl, d, r2, zero in pair_blocks(system, state, points):
         w = _cutoff_over_r2(system.m, r2, system.delta, zero) * scale[None, :]
@@ -424,7 +441,7 @@ def velocity_field(system, state, z):
 def blob_vorticity(system, state, z):
     """Smoothed vorticity field at evaluation points z."""
     single, points = _points(z)
-    out = np.empty(points[0].size)
+    out = np.empty(points.shape[1])
     for sl, _, r2, _ in pair_blocks(system, state, points):
         xi = r2 / system.delta**2
         zeta = p_polynomial(system.m, xi) * np.exp(-xi) / system.delta**2
@@ -474,21 +491,22 @@ def conserved(system, state):
     return ConservedSet(*values)
 
 
-def multiplier(kappa, x, y, u, v):
+def multiplier(kappa, xy, f):
     """Conservation-law multiplier: 4 x 2M matrix with rows (Px, Py, L, H).
 
-    Built at positions (x, y) from the vector field (u, v) there: the H row
-    is (-kappa v, kappa u), the field turned by the strengths, so every row
-    annihilates (u, v).  The continuous multiplier uses the ODE field at the
-    state, the discrete one f_tau at the midpoint of the two levels.
+    Built at the positions xy = (x, y) from the vector field f = (u, v) there,
+    both (2, M) arrays: the H row is (-kappa v, kappa u), the field turned by
+    the strengths, so every row annihilates f.  The continuous multiplier
+    uses the ODE field at the state, the discrete one f_tau at the midpoint
+    of the two levels.
     """
-    zero = np.zeros_like(kappa)
+    (x, y), (u, v), zero = xy, f, np.zeros_like(kappa)
     return np.block([[zero, kappa], [-kappa, zero], [-kappa * x, -kappa * y], [-kappa * v, kappa * u]])
 
 
 def multiplier_matrix(system, state):
     """Continuous multiplier at a state; assembled only in verification paths."""
-    return multiplier(system.kappa, state.x, state.y, *rhs(system, state))
+    return multiplier(system.kappa, state.xy, rhs(system, state))
 
 
 def initial_vorticity(r, p=3):

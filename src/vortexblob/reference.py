@@ -157,8 +157,8 @@ def fit_order(points):
     pts = [(float(s), float(e)) for s, e in points]
     if len(pts) < 3:
         raise ConfigurationError("order fit needs at least 3 points")
-    if any(s <= 0 or e <= 0 for s, e in pts):
-        raise ConfigurationError("order fit needs positive scales and errors")
+    if not all(0 < s < math.inf and 0 < e < math.inf for s, e in pts):
+        raise ConfigurationError("order fit needs positive finite scales and errors")
     if len({s for s, _ in pts}) < 2:
         raise ConfigurationError("order fit needs at least 2 distinct scales")
     logs = np.log([s for s, _ in pts])

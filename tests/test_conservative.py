@@ -201,9 +201,9 @@ class TestCTau:
         xi_k1 = xi_far * (1.0 - np.array([0.0, 1e-12, 1e-6, 1e-3, 1e-2, 1e-1]))
         full, seen = vortexblob.conservative._c_tau, []
 
-        def spy(m, xi_k, e_k, w_k, band, xi_k1, eps):
+        def spy(m, xi_k, e_k, w_k, band, xi_k1):
             seen.extend(xi_k1)
-            return full(m, xi_k, e_k, w_k, band, xi_k1, eps)
+            return full(m, xi_k, e_k, w_k, band, xi_k1)
 
         monkeypatch.setattr(vortexblob.conservative, "_c_tau", spy)
         got = c_tau(m, xi_k, xi_k1)
@@ -390,7 +390,7 @@ class TestDenseReference:
             system, prev, _ = random_pair(rng, 7, m=m)
             out = dmm_step(system, prev, 0.3)
             ref = _fixed_point(prev, 0.3, DEFAULT_SOLVER, rhs(system, prev),
-                               lambda x, y: dmm_rhs(system, prev, State(x=x, y=y)))
+                               lambda u: dmm_rhs(system, prev, State.from_xy(u)))
             assert np.array_equal(out.next.x, ref.next.x)
             assert np.array_equal(out.next.y, ref.next.y)
             assert out.iterations == ref.iterations

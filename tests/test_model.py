@@ -399,6 +399,15 @@ class TestBand:
         with pytest.raises(DomainError, match="overflow"):
             rhs(system, State(x=[0.0, 1e200, -1e200], y=[0.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    @pytest.mark.parametrize("field", [velocity_field, blob_vorticity])
+    def test_overflowing_point_r2_raises_domain_error(self, field, m):
+        # the points traversal checks as the band does: no NaN or 0 with a RuntimeWarning
+        system = BlobSystem(m=m, h=1.0, delta=1.0, kappa=[1.0, -1.0, 0.5])
+        state = State(x=[0.0, 0.5, -0.5], y=[0.0, 0.0, 0.5])
+        with pytest.raises(DomainError, match="squared distances of points 0-1 overflow"):
+            field(system, state, [[0.1, 0.2], [1e200, 0.0]])
+
     def test_overflowing_triangle_r2_raises_domain_error(self):
         # the triangle checks as the band does, and names the first pair that overflows
         system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=[1.0, -1.0, 0.5])
@@ -515,6 +524,20 @@ class TestGrid:
             State(x=np.array([1.0]), y=np.array([1.0, 2.0]))
         with pytest.raises(ConfigurationError):
             BlobSystem(m=4, h=1.0, delta=1.0, kappa=np.ones((2, 2)))
+
+    def test_state_holds_one_position_array(self):
+        # x and y are the rows of xy, which numpy reads; from_xy holds its array as it is
+        state = State(x=[0.5, -1.0], y=[2.0, 0.25], t=0.5)
+        assert state.xy.tolist() == [[0.5, -1.0], [2.0, 0.25]] and state.t == 0.5
+        assert all(np.shares_memory(a, state.xy) for a in (state.x, state.y, np.asarray(state)))
+        xy = np.array([[0.0, 1.0], [2.0, 3.0]])
+        held = State.from_xy(xy, 1.0)
+        assert held.xy is xy and held.t == 1.0
+        for bad in (np.zeros((3, 2)), np.zeros(4), np.array([[0.0, np.nan], [1.0, 2.0]])):
+            with pytest.raises(ConfigurationError):
+                State.from_xy(bad)
+        with pytest.raises(ConfigurationError):
+            State(x=[0.0, np.inf], y=[0.0, 1.0])
 
 
 class TestVorticityField:

@@ -1,5 +1,7 @@
 """Exact references, quadrature, error metrics, and order fitting."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,12 @@ class TestMetricsAndFit:
         fit = fit_order(points)
         assert fit.slope == pytest.approx(3.5, rel=1e-12)
         assert fit.r_squared == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [(0.3, math.nan), (math.nan, 1.0), (math.inf, 1.0), (0.3, math.inf)])
+    def test_fit_order_rejects_non_finite_input(self, bad):
+        # NaN and inf raise ConfigurationError, not slope nan, LinAlgError or a RuntimeWarning
+        with pytest.raises(ConfigurationError, match="positive finite"):
+            fit_order([(0.1, 1.0), (0.2, 2.0), bad])
 
     def test_fit_order_input_validation(self):
         with pytest.raises(ConfigurationError):
