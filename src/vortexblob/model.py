@@ -171,7 +171,7 @@ class BlobSystem:
 
 @dataclass(frozen=True, init=False)
 class State:
-    """Vortex positions at one instant: the (2, M) float array xy, whose rows are x and y; numpy reads a State as xy.
+    """Vortex positions at one instant: the (2, M) float array xy, whose rows are x and y.
 
     Every State checks that its positions are finite when it is built, by
     State(x=..., y=..., t=...) from two 1-d arrays of equal length or by
@@ -207,9 +207,6 @@ class State:
 
     x = property(lambda self: self.xy[0], doc="The first row of xy.")
     y = property(lambda self: self.xy[1], doc="The second row of xy.")
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.xy, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)
@@ -288,7 +285,7 @@ def pair_blocks(system, state, points=None):
     """
     _grow_heap()
     n = system.size
-    x, y = np.asarray(state)
+    x, y = getattr(state, "xy", state)
     xy = np.array((-y, x))
     if points is not None:
         pxy = np.array((-points[1], points[0]))

@@ -526,10 +526,10 @@ class TestGrid:
             BlobSystem(m=4, h=1.0, delta=1.0, kappa=np.ones((2, 2)))
 
     def test_state_holds_one_position_array(self):
-        # x and y are the rows of xy, which numpy reads; from_xy holds its array as it is
+        # x and y are the rows of xy; from_xy holds its array as it is
         state = State(x=[0.5, -1.0], y=[2.0, 0.25], t=0.5)
         assert state.xy.tolist() == [[0.5, -1.0], [2.0, 0.25]] and state.t == 0.5
-        assert all(np.shares_memory(a, state.xy) for a in (state.x, state.y, np.asarray(state)))
+        assert all(np.shares_memory(a, state.xy) for a in (state.x, state.y))
         xy = np.array([[0.0, 1.0], [2.0, 3.0]])
         held = State.from_xy(xy, 1.0)
         assert held.xy is xy and held.t == 1.0
