@@ -10,8 +10,6 @@ prints the two branches' difference across the crossover: cubic decay
 while both are accurate, then noise as the closed form loses digits.
 """
 
-import numpy as np
-
 from vortexblob import c_tau_closed, c_tau_taylor, cutoff
 
 xi = 1.0

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .expint import CUTOFF, e1_reference, exp_integral_e1
 from .integrators import METHODS, SolverConfig, advance, integrate
-from .model import BlobSystem, State, init_grid
+from .model import SUPPORTED_ORDERS, BlobSystem, State, init_grid
 from .reference import (
     fit_order,
     four_vortex_exact,
@@ -288,7 +288,7 @@ def cmd_e1_table(args):
 # default with set_defaults.
 _SHARED_FLAGS = {
     "--cells": dict(type=int, default=10, help="grid cells per side (vortex count = cells^2 before pruning)"),
-    "--m": dict(type=int, choices=(2, 4, 6), default=4, help="blob order"),
+    "--m": dict(type=int, choices=SUPPORTED_ORDERS, default=4, help="blob order"),
     "--q": dict(type=float, default=0.75, help="blob-width exponent, delta = h^q"),
     "--p": dict(type=int, default=3, help="vorticity profile exponent"),
     "--random-vortices": dict(type=int, default=None,
@@ -298,7 +298,7 @@ _SHARED_FLAGS = {
     "--tau": dict(type=float, default=1.0, help="time-step size"),
     "--steps": dict(type=int, default=1000, help="number of steps"),
     "--method": dict(choices=METHODS, default="dmm"),
-    "--orders": dict(type=int, nargs="+", choices=(2, 4, 6), default=[2, 4, 6]),
+    "--orders": dict(type=int, nargs="+", choices=SUPPORTED_ORDERS, default=list(SUPPORTED_ORDERS)),
     "--tol": dict(type=float, default=1e-12, help="fixed-point tolerance (relative to position scale)"),
     "--max-iters": dict(type=int, default=200, help="fixed-point iteration cap"),
     "--out": dict(default=".", help="output directory"),

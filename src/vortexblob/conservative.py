@@ -42,7 +42,6 @@ from .model import (
     ORDER_POLYNOMIALS,
     _check_order,
     conserved,
-    drop_coincident,
     multiplier,
     pair_differences,
     potential_tail,
@@ -234,36 +233,35 @@ def c_tau(m, xi_k, xi_k1):
 # the triangle's order, so sorted by i, with their differences dx, dy and
 # r2.  A near pair (xi = r2/delta^2 at most xi_far) also holds e = exp(-xi),
 # w = W(xi), the potential_tail, and the c_tau switch band _band(xi);
-# a far pair's c_tau needs r2 alone.
-_NearPairs = namedtuple("_NearPairs", "i j dx dy r2 e w band")
-_FarPairs = namedtuple("_FarPairs", "i j dx dy r2")
-# A part and its row segments: the rows i of its pairs and the index of each
-# row's first pair, what np.add.reduceat needs to sum the i-side.
-_Part = namedtuple("_Part", "pairs rows starts")
+# a far pair's c_tau needs r2 alone.  Each part ends with its row segments:
+# the rows i of its pairs and the index of each row's first pair, what
+# np.add.reduceat needs to sum the i-side.
+_NearPairs = namedtuple("_NearPairs", "i j dx dy r2 e w band rows starts")
+_FarPairs = namedtuple("_FarPairs", "i j dx dy r2 rows starts")
 
 
 def _prev_parts(system, prev, i, j):
     """The near and far parts of the pairs (i, j) at the prev level, less those at zero distance.
 
-    A part without pairs is left out.  Each part comes with its row
-    segments, found once.
+    A pair at zero distance has xi = 0, so it can only be near, and the
+    near part leaves it out.  A part without pairs is left out.
     """
-    dx, dy, r2, keep = pair_differences(system, *prev.xy, i, j)
-    pairs = drop_coincident(keep, i, j, dx, dy, r2)
-    xi = pairs[4] / system.delta**2
+    dx, dy, r2, keep = pair_differences(system, prev.xy, i, j)
+    xi = r2 / system.delta**2
     far = xi > _XI_FAR[system.m]
+    near = ~far if keep is None else ~far & keep
     parts = []
-    for kind, idx in ((_NearPairs, np.flatnonzero(~far)), (_FarPairs, np.flatnonzero(far))):
+    for kind, idx in ((_NearPairs, np.flatnonzero(near)), (_FarPairs, np.flatnonzero(far))):
         if not idx.size:
             continue
-        cols = [a[idx] for a in pairs]
+        rows = i[idx]
+        cols = [rows, j[idx], dx[idx], dy[idx], r2[idx]]
         if kind is _NearPairs:
             xi_k = xi[idx]
             e = np.exp(-xi_k)
             cols += [e, potential_tail(system.m, xi_k, e), _band(xi_k)]
-        p = kind(*cols)
-        starts = np.flatnonzero(np.concatenate(([True], p.i[1:] != p.i[:-1])))
-        parts.append(_Part(p, p.i[starts], starts))
+        starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+        parts.append(kind(*cols, rows[starts], starts))
     return parts
 
 
@@ -276,7 +274,9 @@ class PrevLevel:
     """The prev level of one conservative step, built once and evaluated per iterate.
 
     Splits each tile-sized chunk of the pair triangle i < j by xi_k against
-    the order's far threshold (_far_threshold).  A near pair holds its
+    the order's far threshold (_far_threshold), less the pairs at zero
+    distance; field weights a pair at zero cand distance in place, its
+    prev r2 standing in, and then gives it weight 0.  A near pair holds its
     prev-level differences and r2, exp(-xi_k), W(xi_k) (model's
     potential_tail, the pair potential less its log) and the c_tau switch
     band, 64 bytes; xi_k = r2/delta^2 is formed again per iterate.  A far pair
@@ -310,14 +310,6 @@ class PrevLevel:
         for i, j in triangle_blocks(self.system.size, self.rest):
             yield from _prev_parts(self.system, self.prev, i, j)
 
-    def _weights(self, p, r2):
-        """c_tau / r2_k of the pairs p at the cand r2."""
-        if isinstance(p, _FarPairs):
-            c = _far_form(self.system.m, p.r2, r2, self.d2)
-        else:
-            c = _c_tau(self.system.m, p.r2 / self.d2, p.e, p.w, p.band, r2 / self.d2)
-        return c / p.r2
-
     def field(self, u):
         """f_tau(prev, cand) at the cand positions u, a (2, M) array: midpoint differences weighted by c_tau / r2_k, each pair scattered to i and j.
 
@@ -327,21 +319,24 @@ class PrevLevel:
         n = system.size
         out = np.zeros((2, n))
         xdot, ydot = out
-        for p, rows, starts in self._parts():
-            dx, dy, r2, keep = pair_differences(system, *u, p.i, p.j)
-            if keep is None:
-                w = self._weights(p, r2)
-            else:  # a pair at zero distance gets no weight, and the segments stay whole
-                *kept, r2 = drop_coincident(keep, *p, r2)
-                w = np.zeros(keep.size)
-                w[keep] = self._weights(type(p)(*kept), r2)
+        for p in self._parts():
+            dx, dy, r2, keep = pair_differences(system, u, p.i, p.j)
+            if keep is not None:  # the prev r2 stands in at zero cand distance
+                r2 = np.where(keep, r2, p.r2)
+            if isinstance(p, _FarPairs):
+                w = _far_form(system.m, p.r2, r2, self.d2)
+            else:
+                w = _c_tau(system.m, p.r2 / self.d2, p.e, p.w, p.band, r2 / self.d2)
+            w /= p.r2
+            if keep is not None:
+                w[~keep] = 0.0
             wx = w * (dx + p.dx)
             wy = w * (dy + p.dy)
             si, sj = scale[p.i], scale[p.j]
             xdot += np.bincount(p.j, wy * si, n)
-            xdot[rows] -= np.add.reduceat(wy * sj, starts)
+            xdot[p.rows] -= np.add.reduceat(wy * sj, p.starts)
             ydot -= np.bincount(p.j, wx * si, n)
-            ydot[rows] += np.add.reduceat(wx * sj, starts)
+            ydot[p.rows] += np.add.reduceat(wx * sj, p.starts)
         return out
 
 

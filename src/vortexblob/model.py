@@ -22,13 +22,13 @@ fields ``velocity_field`` and ``blob_vorticity``.  The chunked vortex-pair
 triangle i < j, ``triangle_blocks`` with ``pair_differences``, serves every
 sum over pairs (the Hamiltonian in ``conserved`` and the conservative
 scheme's f_tau), each of which leaves out the zero-distance pairs of a
-zero-strength vortex by ``drop_coincident``.  The band and the triangle
-raise PairDegeneracyError on coincident strength-bearing vortices, and
-all three raise DomainError where a squared distance overflows.  The
-multiplier of the conservation laws is built from a vector field by
-``multiplier``.  Every per-order polynomial is evaluated by
-:func:`vortexblob.expint._horner`, the package's one Horner, which E1's
-table also uses.
+zero-strength vortex by the mask ``keep`` of ``pair_differences``.  The
+band and the triangle raise PairDegeneracyError on coincident
+strength-bearing vortices, and all three raise DomainError where a
+squared distance overflows.  The multiplier of the conservation laws is
+built from a vector field by ``multiplier``.  Every per-order polynomial
+is evaluated by :func:`vortexblob.expint._horner`, the package's one
+Horner, which E1's table also uses.
 """
 
 from __future__ import annotations
@@ -86,14 +86,26 @@ def p_polynomial(m, r):
     return _horner(np.asarray(r, dtype=float), ORDER_POLYNOMIALS[m].p) + np.zeros(np.shape(r))
 
 
+def _times_exp(coef, xi):
+    """The polynomial coef times exp(-xi) at the float array xi, taken as 0 past xi = 708.
+
+    There it is below half an ulp of any term of order 1, and at m = 6 the
+    polynomial would overflow from xi ~ 1e154 on, so it is not formed.
+    """
+    far = xi > -_EXP_NORMAL_MIN
+    xi = np.where(far, 0.0, xi)
+    return np.where(far, 0.0, _horner(xi, coef) * np.exp(-xi))
+
+
 def cutoff(m, r2, delta):
     """Smoothing cutoff C(r2) = 1 - Q(r2/delta^2) exp(-r2/delta^2).
 
-    Vanishes at r2 = 0 and tends to 1 as r2/delta^2 grows.
+    Vanishes at r2 = 0 and tends to 1 as r2/delta^2 grows; it is 1 past
+    r2/delta^2 = 708, where Q exp(-xi) is below half an ulp of 1.
     """
     _check_order(m)
     xi = np.asarray(r2, dtype=float) / delta**2
-    return 1.0 - q_polynomial(m, xi) * np.exp(-xi)
+    return 1.0 - _times_exp(ORDER_POLYNOMIALS[m].q, xi)
 
 
 def cutoff_over_r2(m, r2, delta):
@@ -333,14 +345,16 @@ def triangle_blocks(n, start=0):
 
 
 @np.errstate(over="raise")
-def pair_differences(system, x, y, i, j):
-    """dx, dy, r2 and keep of the vortex pairs (i, j) at positions (x, y), the triangle's counterpart of pair_blocks.
+def pair_differences(system, xy, i, j):
+    """dx, dy, r2 and keep of the vortex pairs (i, j) at the positions xy, a (2, M) array: the triangle's counterpart of pair_blocks.
 
     keep is None when no pair is at zero distance, else the mask r2 > 0 of
-    the pairs that drop_coincident keeps.  A strength-bearing pair at zero
-    distance raises PairDegeneracyError, and an r2 that overflows raises
-    DomainError naming the first such pair.
+    the pairs every pair sum keeps: a zero-strength vortex's pairs there
+    carry no energy and no weight.  A strength-bearing pair at zero distance
+    raises PairDegeneracyError, and an r2 that overflows raises DomainError
+    naming the first such pair.
     """
+    x, y = xy
     try:
         dx = x[i] - x[j]
         dy = y[i] - y[j]
@@ -356,18 +370,6 @@ def pair_differences(system, x, y, i, j):
     if bad.size:
         raise PairDegeneracyError(i[bad[0]], j[bad[0]])
     return dx, dy, r2, r2 > 0.0
-
-
-def drop_coincident(keep, *arrays):
-    """The arrays less their entries at zero distance, the pairs every pair sum leaves out.
-
-    keep comes from pair_differences, which admits zero distance only
-    between vortices of which one has no strength, so such a pair carries no
-    energy and no weight.
-    """
-    if keep is None:
-        return arrays
-    return tuple(a[keep] for a in arrays)
 
 
 def rhs(system, state):
@@ -440,8 +442,7 @@ def blob_vorticity(system, state, z):
     single, points = _points(z)
     out = np.empty(points.shape[1])
     for sl, _, r2, _ in pair_blocks(system, state, points):
-        xi = r2 / system.delta**2
-        zeta = p_polynomial(system.m, xi) * np.exp(-xi) / system.delta**2
+        zeta = _times_exp(ORDER_POLYNOMIALS[system.m].p, r2 / system.delta**2) / system.delta**2
         out[sl] = (zeta * system.kappa[None, :]).sum(axis=1)
     return float(out[0]) if single else out
 
@@ -478,8 +479,9 @@ def conserved(system, state):
     ell = float(-0.5 * (kappa * (state.x**2 + state.y**2)).sum())
     ham = 0.0
     for i, j in triangle_blocks(system.size):
-        _, _, r2, keep = pair_differences(system, state.x, state.y, i, j)
-        i, j, r2 = drop_coincident(keep, i, j, r2)
+        _, _, r2, keep = pair_differences(system, state.xy, i, j)
+        if keep is not None:
+            i, j, r2 = i[keep], j[keep], r2[keep]
         v = pair_potential(system.m, r2, system.delta)
         ham -= float((kappa[i] * kappa[j] * v).sum()) / (4.0 * np.pi)
     values = (float(gamma), px, py, ell, ham)

@@ -383,6 +383,18 @@ class TestDenseReference:
             assert (prev.x[1] - prev.x[2]) ** 2 / system.delta**2 > vortexblob.conservative._XI_FAR[m]
             assert cand.x[1] == cand.x[2] and cand.y[1] == cand.y[2]
 
+    @pytest.mark.parametrize("held_pairs", [None, 8])
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_near_pair_meeting_at_cand_matches_dense_sum(self, m, held_pairs, monkeypatch):
+        # a coincident pair weighted in place inside a near part: zero-strength
+        # vortex 3 lies within xi_far of vortex 4 at prev (xi_k = 1) and on it at cand
+        system, prev, cand = self.states(m, 7)
+        kappa, (x, y), (cx, cy) = system.kappa.copy(), prev.xy.copy(), cand.xy.copy()
+        kappa[3] = 0.0
+        x[3], y[3], cx[3], cy[3] = x[4] + system.delta, y[4], cx[4], cy[4]
+        system = BlobSystem(m=m, h=system.h, delta=system.delta, kappa=kappa)
+        self.check_against_dense(system, State(x=x, y=y), State(x=cx, y=cy), held_pairs, monkeypatch)
+
     def test_step_is_fixed_point_of_one_call_form(self):
         # the stepping path and dmm_rhs run one code: bitwise the same step
         rng = np.random.default_rng(23)

@@ -413,9 +413,9 @@ class TestBand:
         system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=[1.0, -1.0, 0.5])
         x, y = np.array([0.0, 1e154, -1e154]), np.zeros(3)  # only 1 and 2 are 2e154 apart
         i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
-        assert np.isfinite(pair_differences(system, x, y, i[:2], j[:2])[2]).all()
+        assert np.isfinite(pair_differences(system, np.array((x, y)), i[:2], j[:2])[2]).all()
         with pytest.raises(DomainError, match="squared distance of vortices 1 and 2 overflows"):
-            pair_differences(system, x, y, i, j)
+            pair_differences(system, np.array((x, y)), i, j)
         with pytest.raises(DomainError, match="overflows"):
             dmm_rhs(system, State(x=x, y=y), State(x=x, y=y))
 
@@ -559,6 +559,16 @@ class TestVorticityField:
         pts = np.column_stack([gx.ravel(), gy.ravel()])
         total = blob_vorticity(system, state, pts).sum() * step**2
         assert total == pytest.approx(system.kappa.sum(), abs=1e-6)
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_far_from_the_vortices_zeta_is_0_and_the_cutoff_1(self, m):
+        # past xi = 708 the P and Q exp(-xi) terms are 0, where Q and P of m = 6
+        # overflow from xi ~ 1e154 on: no inf * 0 = NaN and no RuntimeWarning
+        system, state = init_grid(4, m=m, prune_zero=True)
+        assert blob_vorticity(system, state, [1e150, 0.0]) == 0.0
+        assert np.array_equal(blob_vorticity(system, state, [[1e150, 0.0], [0.0, 1e3]]), [0.0, 0.0])
+        assert cutoff(m, 1e300, 1.0) == 1.0
+        assert np.array_equal(cutoff(m, np.array([1e300, 800.0, 0.0]), 1.0), [1.0, 1.0, 0.0])
 
     @pytest.mark.parametrize("field", [velocity_field, blob_vorticity])
     def test_points_must_be_pairs(self, field):
