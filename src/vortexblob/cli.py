@@ -101,10 +101,11 @@ def _solver_from_args(args):
     return SolverConfig(tol=args.tol, max_iters=args.max_iters)
 
 
-def _random_system(rng, m, n_vortices):
-    """Strengths and positions drawn uniformly on [-1, 1]; h = delta = 1."""
-    if n_vortices < 1:
-        raise ConfigurationError("need at least 1 random vortex")
+def _random_system(seed, m, n_vortices):
+    """Strengths and positions drawn uniformly on [-1, 1] by the generator of seed; h = delta = 1."""
+    if seed < 0 or n_vortices < 1:
+        raise ConfigurationError(f"--seed must be >= 0, got {seed}" if seed < 0 else "need at least 1 random vortex")
+    rng = np.random.default_rng(seed)
     kappa = rng.uniform(-1.0, 1.0, n_vortices)
     state = State(x=rng.uniform(-1.0, 1.0, n_vortices), y=rng.uniform(-1.0, 1.0, n_vortices))
     return BlobSystem(m=m, h=1.0, delta=1.0, kappa=kappa), state
@@ -112,7 +113,7 @@ def _random_system(rng, m, n_vortices):
 
 def _problem_from_args(args):
     if args.random_vortices is not None:
-        return _random_system(np.random.default_rng(args.seed), args.m, args.random_vortices)
+        return _random_system(args.seed, args.m, args.random_vortices)
     return init_grid(args.cells, p=args.p, q=args.q, m=args.m, prune_zero=True)
 
 
@@ -232,7 +233,7 @@ def cmd_timing(args):
     solver = _solver_from_args(args)
     rows = []
     for seed in range(args.seed, args.seed + args.n_seeds):
-        system, state = _random_system(np.random.default_rng(seed), args.m, args.random_vortices)
+        system, state = _random_system(seed, args.m, args.random_vortices)
         base_time = None
         for method in args.methods:
             steps = args.steps
@@ -263,8 +264,8 @@ def cmd_timing(args):
 def cmd_e1_table(args):
     if args.count < 0:
         raise ConfigurationError("--count must be >= 0")
-    if args.count and not (0.0 < args.x_min <= args.x_max):
-        raise ConfigurationError("need 0 < --x-min <= --x-max")
+    if args.count and not (0.0 < args.x_min <= args.x_max < math.inf):
+        raise ConfigurationError("need 0 < --x-min <= --x-max < inf")
     rows = []
     worst = 0.0
     if args.count:

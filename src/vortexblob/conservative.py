@@ -230,14 +230,14 @@ def c_tau(m, xi_k, xi_k1):
 
 
 # The two parts of a prev-level chunk: pairs i < j at nonzero distance in
-# the triangle's order, so sorted by i, with their differences dx, dy and
-# r2.  A near pair (xi = r2/delta^2 at most xi_far) also holds e = exp(-xi),
+# the triangle's order, so sorted by i, with their differences d = (-dy, dx)
+# and r2.  A near pair (xi = r2/delta^2 at most xi_far) also holds e = exp(-xi),
 # w = W(xi), the potential_tail, and the c_tau switch band _band(xi);
 # a far pair's c_tau needs r2 alone.  Each part ends with its row segments:
 # the rows i of its pairs and the index of each row's first pair, what
 # np.add.reduceat needs to sum the i-side.
-_NearPairs = namedtuple("_NearPairs", "i j dx dy r2 e w band rows starts")
-_FarPairs = namedtuple("_FarPairs", "i j dx dy r2 rows starts")
+_NearPairs = namedtuple("_NearPairs", "i j d r2 e w band rows starts")
+_FarPairs = namedtuple("_FarPairs", "i j d r2 rows starts")
 
 
 def _prev_parts(system, prev, i, j):
@@ -246,16 +246,16 @@ def _prev_parts(system, prev, i, j):
     A pair at zero distance has xi = 0, so it can only be near, and the
     near part leaves it out.  A part without pairs is left out.
     """
-    dx, dy, r2, keep = pair_differences(system, prev.xy, i, j)
+    d, r2, zero = pair_differences(system, prev.xy, i, j)
     xi = r2 / system.delta**2
     far = xi > _XI_FAR[system.m]
-    near = ~far if keep is None else ~far & keep
+    near = ~far if zero is None else ~(far | zero)
     parts = []
     for kind, idx in ((_NearPairs, np.flatnonzero(near)), (_FarPairs, np.flatnonzero(far))):
         if not idx.size:
             continue
         rows = i[idx]
-        cols = [rows, j[idx], dx[idx], dy[idx], r2[idx]]
+        cols = [rows, j[idx], d.take(idx, axis=1), r2[idx]]
         if kind is _NearPairs:
             xi_k = xi[idx]
             e = np.exp(-xi_k)
@@ -277,9 +277,9 @@ class PrevLevel:
     the order's far threshold (_far_threshold), less the pairs at zero
     distance; field weights a pair at zero cand distance in place, its
     prev r2 standing in, and then gives it weight 0.  A near pair holds its
-    prev-level differences and r2, exp(-xi_k), W(xi_k) (model's
-    potential_tail, the pair potential less its log) and the c_tau switch
-    band, 64 bytes; xi_k = r2/delta^2 is formed again per iterate.  A far pair
+    prev-level differences d, as pair_differences turns them, and r2,
+    exp(-xi_k), W(xi_k) (model's potential_tail, the pair potential less its
+    log) and the c_tau switch band, 64 bytes; xi_k = r2/delta^2 is formed again per iterate.  A far pair
     holds its differences and r2 alone, 40 bytes, and takes _far_form:
     log1p(s)/s, with no exp, E1 or band, unless its xi_k1 falls to the
     threshold.  At most _HELD_PAIRS pairs are held, which bounds the memory
@@ -318,25 +318,23 @@ class PrevLevel:
         system, scale = self.system, self.scale
         n = system.size
         out = np.zeros((2, n))
-        xdot, ydot = out
         for p in self._parts():
-            dx, dy, r2, keep = pair_differences(system, u, p.i, p.j)
-            if keep is not None:  # the prev r2 stands in at zero cand distance
-                r2 = np.where(keep, r2, p.r2)
+            d, r2, zero = pair_differences(system, u, p.i, p.j)
+            if zero is not None:  # the prev r2 stands in at zero cand distance
+                r2 = np.where(zero, p.r2, r2)
             if isinstance(p, _FarPairs):
                 w = _far_form(system.m, p.r2, r2, self.d2)
             else:
                 w = _c_tau(system.m, p.r2 / self.d2, p.e, p.w, p.band, r2 / self.d2)
             w /= p.r2
-            if keep is not None:
-                w[~keep] = 0.0
-            wx = w * (dx + p.dx)
-            wy = w * (dy + p.dy)
+            if zero is not None:
+                w[zero] = 0.0
+            d += p.d  # the midpoint differences, weighted in place: d is this call's own
+            d *= w
             si, sj = scale[p.i], scale[p.j]
-            xdot += np.bincount(p.j, wy * si, n)
-            xdot[p.rows] -= np.add.reduceat(wy * sj, p.starts)
-            ydot -= np.bincount(p.j, wx * si, n)
-            ydot[p.rows] += np.add.reduceat(wx * sj, p.starts)
+            for out_k, wd in zip(out, d):
+                out_k -= np.bincount(p.j, wd * si, n)
+                out_k[p.rows] += np.add.reduceat(wd * sj, p.starts)
         return out
 
 

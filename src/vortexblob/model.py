@@ -22,13 +22,16 @@ fields ``velocity_field`` and ``blob_vorticity``.  The chunked vortex-pair
 triangle i < j, ``triangle_blocks`` with ``pair_differences``, serves every
 sum over pairs (the Hamiltonian in ``conserved`` and the conservative
 scheme's f_tau), each of which leaves out the zero-distance pairs of a
-zero-strength vortex by the mask ``keep`` of ``pair_differences``.  The
-band and the triangle raise PairDegeneracyError on coincident
-strength-bearing vortices, and all three raise DomainError where a
-squared distance overflows.  The multiplier of the conservation laws is
-built from a vector field by ``multiplier``.  Every per-order polynomial
-is evaluated by :func:`vortexblob.expint._horner`, the package's one
-Horner, which E1's table also uses.
+zero-strength vortex by the mask ``zero`` of ``pair_differences``.  The
+three share one kernel of each pair mechanism: ``_differences`` forms
+every difference, of positions turned a quarter turn, and r2, and raises
+DomainError naming the pair whose r2 overflows; ``_zeros`` raises
+PairDegeneracyError on coincident strength-bearing vortices in the band
+and the triangle; ``_times_exp`` takes the e^-xi terms as 0 past
+xi = 708.  The multiplier of the conservation laws is built from a vector
+field by ``multiplier``.  Every per-order polynomial is evaluated by
+:func:`vortexblob.expint._horner`, the package's one Horner, which E1's
+table also uses.
 """
 
 from __future__ import annotations
@@ -86,15 +89,19 @@ def p_polynomial(m, r):
     return _horner(np.asarray(r, dtype=float), ORDER_POLYNOMIALS[m].p) + np.zeros(np.shape(r))
 
 
-def _times_exp(coef, xi):
-    """The polynomial coef times exp(-xi) at the float array xi, taken as 0 past xi = 708.
+def _times_exp(coef, minus_xi):
+    """The polynomial coef at xi times exp(-xi), from the float array minus_xi = -xi, taken as 0 past xi = 708.
 
-    There it is below half an ulp of any term of order 1, and at m = 6 the
-    polynomial would overflow from xi ~ 1e154 on, so it is not formed.
+    There it is below half an ulp of any term of order 1.  Only a block that
+    reaches there, found by one min, pays for the mask, which costs as much
+    as the product, and forms there neither the polynomial (at m = 6 it
+    overflows from xi ~ 1e154 on) nor np.exp's subnormals (15-120 ns each).
     """
-    far = xi > -_EXP_NORMAL_MIN
-    xi = np.where(far, 0.0, xi)
-    return np.where(far, 0.0, _horner(xi, coef) * np.exp(-xi))
+    if minus_xi.min(initial=0.0) >= _EXP_NORMAL_MIN:
+        return _horner(-minus_xi, coef) * np.exp(minus_xi)
+    far = minus_xi < _EXP_NORMAL_MIN
+    minus_xi = np.where(far, 0.0, minus_xi)
+    return np.where(far, 0.0, _horner(-minus_xi, coef) * np.exp(minus_xi))
 
 
 def cutoff(m, r2, delta):
@@ -104,8 +111,7 @@ def cutoff(m, r2, delta):
     r2/delta^2 = 708, where Q exp(-xi) is below half an ulp of 1.
     """
     _check_order(m)
-    xi = np.asarray(r2, dtype=float) / delta**2
-    return 1.0 - _times_exp(ORDER_POLYNOMIALS[m].q, xi)
+    return 1.0 - _times_exp(ORDER_POLYNOMIALS[m].q, np.asarray(r2, dtype=float) / -(delta**2))
 
 
 def cutoff_over_r2(m, r2, delta):
@@ -131,28 +137,19 @@ def _cutoff_over_r2(m, r2, delta, zero):
     The zero entries take a placeholder xi, so that the first term's
     division needs no mask, and then its limit 1: on a 64 x 316 band block
     of the 316-vortex grid the division took 33 us with the mask where=xi > 0
-    and 15 us without.  Past xi = 708 the second term is below half an ulp
-    of the first, so a block that reaches there, found by one min, takes it
-    as 0 on those entries: the same bits, while np.exp, whose result is
-    subnormal or 0 there, costs 15-120 ns an element against about 1 ns
-    below.  Blocks that stay below 708 keep the plain call, which costs half
-    the masked one.
+    and 15 us without.  The second term is _times_exp's, 0 past xi = 708,
+    where it is below half an ulp of the first.
     """
     minus_xi = r2 / -(delta**2)
     s = _CUTOFF_S[m]
-    if s:
-        if minus_xi.size and minus_xi.min() < _EXP_NORMAL_MIN:
-            e = np.exp(minus_xi, where=minus_xi >= _EXP_NORMAL_MIN, out=np.zeros_like(minus_xi))
-        else:
-            e = np.exp(minus_xi)
-        tail = _horner(-minus_xi, s) * e
+    tail = _times_exp(s, minus_xi) if s else None
     if zero is not None:
         minus_xi.reshape(-1)[zero] = -1.0
     out = np.expm1(minus_xi)
     out /= minus_xi
     if zero is not None:
         out.reshape(-1)[zero] = 1.0
-    if s:
+    if tail is not None:
         out += tail
     out /= delta**2
     return out
@@ -160,7 +157,7 @@ def _cutoff_over_r2(m, r2, delta, zero):
 
 @dataclass(frozen=True)
 class BlobSystem:
-    """Static problem data for one vortex-blob system."""
+    """Static problem data for one vortex-blob system; h, delta and the float delta * delta are positive and finite."""
 
     m: int
     h: float
@@ -169,8 +166,8 @@ class BlobSystem:
 
     def __post_init__(self):
         _check_order(self.m)
-        if not self.h > 0 or not self.delta > 0:
-            raise ConfigurationError("h and delta must be positive")
+        if not all(0.0 < v < math.inf for v in (self.h, self.delta, float(self.delta) * float(self.delta))):
+            raise ConfigurationError(f"h, delta, delta**2 must be positive and finite: h={self.h}, delta={self.delta}")
         kappa = np.asarray(self.kappa, dtype=float)
         if kappa.ndim != 1 or not np.all(np.isfinite(kappa)):
             raise ConfigurationError("vortex strengths must be a finite 1-d array")
@@ -262,18 +259,38 @@ def _grow_heap():
     np.empty(1 << 20)
 
 
-# Both overflow checks take np.errstate as a decorator: that costs about 1 us
-# less a call than the with statement, which builds the context object and
-# calls its enter and exit methods, and at M = 3 each iterate forms one block.
+# np.errstate as a decorator costs about 1 us a call less than the with statement,
+# which builds the context object and calls its enter and exit methods, and at
+# M = 3 each iterate forms one block.  On a 64k-pair chunk each fresh 2 x 64k
+# temporary costs about 10%, so r2 is summed into d * d's first plane.
 @np.errstate(over="raise")
-def _differences(p, q, kind, rows):
-    """d = p - q and r2, the sum of d * d over the leading axis; an overflow raises DomainError naming the rows of p."""
+def _differences(p, q, pair, names="vortices {} and {}", out=None):
+    """d = p - q, into out if given, and r2, the sum of d * d over the leading axis: the one place r2 is formed.
+
+    pair = (i, j) indexes r2's axes, r2[k] the pair (i[k], j[k]) and r2[a, b] the pair (i[a], j[b]); an
+    r2 that overflows raises DomainError naming its first such pair by names.
+    """
     try:
-        d = p - q
+        d = np.subtract(p, q, out=out)
         dd = d * d
-        return d, dd[0] + dd[1]
-    except FloatingPointError:
-        raise DomainError(f"the squared distances of {kind} {rows.start}-{rows.stop - 1} overflow") from None
+        r2 = dd[0]
+        r2 += dd[1]
+        return d, r2
+    except FloatingPointError:  # numpy writes a ufunc's whole output before it raises, so out holds d
+        with np.errstate(over="ignore"):
+            r2 = np.square(p - q if out is None else out).sum(axis=0)
+    k = np.unravel_index(np.flatnonzero(~np.isfinite(r2))[0], r2.shape)
+    raise DomainError(f"the squared distance of {names.format(pair[0][k[0]], pair[1][k[-1]])} overflows")
+
+
+def _zeros(system, r2, i, j):
+    """The mask r2 == 0 of the pairs (i, j), index arrays that broadcast to r2; coincident strength-bearing i != j raise."""
+    zero, live = r2 == 0.0, system.kappa != 0.0
+    bad = np.flatnonzero(zero & live[i] & live[j] & (i != j))
+    if bad.size:
+        i, j = np.broadcast_arrays(i, j)
+        raise PairDegeneracyError(i.flat[bad[0]], j.flat[bad[0]])
+    return zero
 
 
 def pair_blocks(system, state, points=None):
@@ -293,7 +310,7 @@ def pair_blocks(system, state, points=None):
     against the columns [c, M), so its entries [k, a - c + k] are the
     diagonal, r2 = 0, the flat slice from a - c by steps of M - c + 1.
     A strength-bearing pair at zero distance raises PairDegeneracyError,
-    and an r2 that overflows raises DomainError.
+    and an r2 that overflows raises DomainError naming the pair.
     """
     _grow_heap()
     n = system.size
@@ -304,7 +321,8 @@ def pair_blocks(system, state, points=None):
         step = max(1, _TILE // max(1, n))
         for start in range(0, pxy.shape[1], step):
             sl = slice(start, min(start + step, pxy.shape[1]))
-            d, r2 = _differences(pxy[:, sl, None], xy[:, None, :], "points", sl)
+            d, r2 = _differences(pxy[:, sl, None], xy[:, None, :], (range(start, sl.stop), range(n)),
+                                 "point {} and vortex {}")
             yield sl, d, r2, None if np.count_nonzero(r2) == r2.size else (r2 == 0.0).reshape(-1)
         return
     width = min(_BAND_ROWS, n) or 1
@@ -312,16 +330,10 @@ def pair_blocks(system, state, points=None):
     for c in range(0, n, width):
         for a in range(c, min(c + width, n), step):
             b = min(a + step, c + width, n)
-            d, r2 = _differences(xy[:, a:b, None], xy[:, None, c:], "vortices", slice(a, b))
+            d, r2 = _differences(xy[:, a:b, None], xy[:, None, c:], (range(a, b), range(c, n)))
             zero = slice(a - c, None, n - c + 1)  # the diagonal
             if r2.size - np.count_nonzero(r2) > b - a:  # a zero off the diagonal
-                live = system.kappa != 0.0
-                bad = (r2 == 0.0) & live[a:b, None] & live[None, c:]
-                bad.reshape(-1)[zero] = False
-                if bad.any():
-                    bi, bj = np.argwhere(bad)[0]
-                    raise PairDegeneracyError(a + bi, c + bj)
-                zero = (r2 == 0.0).reshape(-1)
+                zero = _zeros(system, r2, np.arange(a, b)[:, None], np.arange(c, n)).reshape(-1)
             yield slice(a, b), d, r2, zero
 
 
@@ -344,32 +356,19 @@ def triangle_blocks(n, start=0):
         start += counts.size
 
 
-@np.errstate(over="raise")
 def pair_differences(system, xy, i, j):
-    """dx, dy, r2 and keep of the vortex pairs (i, j) at the positions xy, a (2, M) array: the triangle's counterpart of pair_blocks.
+    """d, r2 and zero of the vortex pairs (i, j) at the positions xy, a (2, M) array: the triangle's counterpart of pair_blocks.
 
-    keep is None when no pair is at zero distance, else the mask r2 > 0 of
-    the pairs every pair sum keeps: a zero-strength vortex's pairs there
-    carry no energy and no weight.  A strength-bearing pair at zero distance
-    raises PairDegeneracyError, and an r2 that overflows raises DomainError
-    naming the first such pair.
+    d = (-dy, dx) and r2 are (2, P) and (P,) arrays, as pair_blocks yields
+    them, and zero is None or the mask r2 == 0 of the pairs every pair sum
+    leaves out: a zero-strength vortex's pairs there carry no energy and no
+    weight.  A strength-bearing pair at zero distance raises
+    PairDegeneracyError, and an r2 that overflows DomainError.
     """
-    x, y = xy
-    try:
-        dx = x[i] - x[j]
-        dy = y[i] - y[j]
-        r2 = dx * dx + dy * dy
-    except FloatingPointError:
-        with np.errstate(over="ignore"):
-            k = np.flatnonzero(~np.isfinite(np.square(x[i] - x[j]) + np.square(y[i] - y[j])))[0]
-        raise DomainError(f"the squared distance of vortices {i[k]} and {j[k]} overflows") from None
-    if r2.all():
-        return dx, dy, r2, None
-    live = system.kappa != 0.0
-    bad = np.flatnonzero((r2 == 0.0) & live[i] & live[j])
-    if bad.size:
-        raise PairDegeneracyError(i[bad[0]], j[bad[0]])
-    return dx, dy, r2, r2 > 0.0
+    xy = np.array((-xy[1], xy[0]))  # turned as pair_blocks turns them
+    p = xy.take(i, axis=1)
+    d, r2 = _differences(p, xy.take(j, axis=1), (i, j), out=p)
+    return d, r2, None if r2.all() else _zeros(system, r2, i, j)
 
 
 def rhs(system, state):
@@ -442,7 +441,7 @@ def blob_vorticity(system, state, z):
     single, points = _points(z)
     out = np.empty(points.shape[1])
     for sl, _, r2, _ in pair_blocks(system, state, points):
-        zeta = _times_exp(ORDER_POLYNOMIALS[system.m].p, r2 / system.delta**2) / system.delta**2
+        zeta = _times_exp(ORDER_POLYNOMIALS[system.m].p, r2 / -(system.delta**2)) / system.delta**2
         out[sl] = (zeta * system.kappa[None, :]).sum(axis=1)
     return float(out[0]) if single else out
 
@@ -479,9 +478,9 @@ def conserved(system, state):
     ell = float(-0.5 * (kappa * (state.x**2 + state.y**2)).sum())
     ham = 0.0
     for i, j in triangle_blocks(system.size):
-        _, _, r2, keep = pair_differences(system, state.xy, i, j)
-        if keep is not None:
-            i, j, r2 = i[keep], j[keep], r2[keep]
+        _, r2, zero = pair_differences(system, state.xy, i, j)
+        if zero is not None:
+            i, j, r2 = i[~zero], j[~zero], r2[~zero]
         v = pair_potential(system.m, r2, system.delta)
         ham -= float((kappa[i] * kappa[j] * v).sum()) / (4.0 * np.pi)
     values = (float(gamma), px, py, ell, ham)

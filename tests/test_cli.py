@@ -305,6 +305,24 @@ class TestExitCodes:
         assert "--n-seeds must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "bad" / "timing.csv").exists()
 
+    @pytest.mark.parametrize("argv", [["simulate", "--random-vortices", "3"],
+                                      ["timing", "--steps", "2", "--n-seeds", "1", "--methods", "rm2"]])
+    def test_negative_seed_is_usage_error(self, argv, tmp_path, capsys):
+        assert main([*argv, "--seed", "-1", "--out", str(tmp_path / "bad")]) == EXIT_USAGE
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x_max", ["inf", "1e400"])
+    def test_e1_table_needs_a_finite_bound(self, x_max, tmp_path, capsys):
+        assert main(["e1-table", "--x-max", x_max, "--count", "5", "--out", str(tmp_path / "bad")]) == EXIT_USAGE
+        assert "--x-max < inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q", ["-540", "1000"])
+    def test_blob_width_whose_square_overflows_or_vanishes_is_usage_error(self, q, tmp_path, capsys):
+        # delta = h^q with h = 1/2: delta^2 overflows at q = -540 and underflows to 0 at q = 1000
+        assert main(["simulate", "--cells", "4", "--steps", "2", f"--q={q}",
+                     "--out", str(tmp_path / "bad")]) == EXIT_USAGE
+        assert "delta**2 must be positive and finite" in capsys.readouterr().err
+
     def test_solver_failure_exit(self, tmp_path):
         code = main(["simulate", "--cells", "4", "--steps", "2", "--tau", "0.5",
                      "--method", "dmm", "--tol", "1e-30", "--max-iters", "2",

@@ -101,6 +101,16 @@ class TestKernels:
             assert cutoff_over_r2(m, 0.0, 2.0) == pytest.approx(limit / 4.0)
 
     @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_cutoff_over_r2_is_1_over_r2_past_xi_708(self, m):
+        # past xi = 708 the S exp(-xi) tail is below half an ulp and is not formed;
+        # a block reaching there masks it entry by entry, with the plain call's bits below
+        r2 = np.array([0.0, 1.0, 700.0, 708.5, 709.0, 745.5, 800.0, 1e5, 1e300])
+        got = cutoff_over_r2(m, r2, 1.0)
+        assert np.array_equal(got[4:], 1.0 / r2[4:])
+        assert [cutoff_over_r2(m, v, 1.0) for v in r2] == got.tolist()
+        assert got[1:4] == pytest.approx(cutoff(m, r2[1:4], 1.0) / r2[1:4], rel=1e-14)
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (0,)])
     def test_array_input_gives_array_of_its_shape(self, m, shape):
         # Q and P of m = 2 are constants, which the Horner evaluator returns bare
@@ -405,7 +415,7 @@ class TestBand:
         # the points traversal checks as the band does: no NaN or 0 with a RuntimeWarning
         system = BlobSystem(m=m, h=1.0, delta=1.0, kappa=[1.0, -1.0, 0.5])
         state = State(x=[0.0, 0.5, -0.5], y=[0.0, 0.0, 0.5])
-        with pytest.raises(DomainError, match="squared distances of points 0-1 overflow"):
+        with pytest.raises(DomainError, match="squared distance of point 1 and vortex 0 overflows"):
             field(system, state, [[0.1, 0.2], [1e200, 0.0]])
 
     def test_overflowing_triangle_r2_raises_domain_error(self):
@@ -413,11 +423,47 @@ class TestBand:
         system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=[1.0, -1.0, 0.5])
         x, y = np.array([0.0, 1e154, -1e154]), np.zeros(3)  # only 1 and 2 are 2e154 apart
         i, j = np.array([0, 0, 1]), np.array([1, 2, 2])
-        assert np.isfinite(pair_differences(system, np.array((x, y)), i[:2], j[:2])[2]).all()
+        assert np.isfinite(pair_differences(system, np.array((x, y)), i[:2], j[:2])[1]).all()
         with pytest.raises(DomainError, match="squared distance of vortices 1 and 2 overflows"):
             pair_differences(system, np.array((x, y)), i, j)
         with pytest.raises(DomainError, match="overflows"):
             dmm_rhs(system, State(x=x, y=y), State(x=x, y=y))
+
+    def test_overflowing_triangle_difference_names_its_pair(self):
+        # x_0 - x_2 overflows in the subtraction, which the triangle writes over its gathered rows
+        system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=[1.0, 0.0, 0.5])
+        xy = np.array([[1e308, 1e308, -1e308], [0.0, 0.0, 0.0]])
+        with pytest.raises(DomainError, match="squared distance of vortices 0 and 2 overflows"):
+            pair_differences(system, xy, np.array([0, 0, 1]), np.array([1, 2, 2]))
+
+    @pytest.mark.parametrize("tile", [None, 100])
+    def test_overflowing_r2_names_its_pair(self, tile, monkeypatch):
+        # only vortices 66 and 68 are 2e154 apart: in the second chunk, and in a
+        # one-row block of it at tile 100
+        if tile is not None:
+            monkeypatch.setattr(vortexblob.model, "_TILE", tile)
+        system, state = random_system(np.random.default_rng(3), 70, m=4)
+        x = state.x.copy()
+        x[66], x[68] = 1e154, -1e154
+        with pytest.raises(DomainError, match="squared distance of vortices 66 and 68 overflows"):
+            rhs(system, State(x=x, y=state.y))
+
+    @pytest.mark.parametrize("field", [velocity_field, blob_vorticity])
+    def test_overflowing_point_r2_names_its_pair(self, field, monkeypatch):
+        # blocks of 2 points: only point 5, in the third block, is 2e154 from vortex 2
+        monkeypatch.setattr(vortexblob.model, "_TILE", 6)
+        system = BlobSystem(m=4, h=1.0, delta=1.0, kappa=[1.0, -1.0, 0.5])
+        state = State(x=[0.0, 0.5, -1e154], y=[0.0, 0.0, 0.0])
+        points = [[0.1 * k, 0.2] for k in range(5)] + [[1e154, 0.0]]
+        with pytest.raises(DomainError, match="squared distance of point 5 and vortex 2 overflows"):
+            field(system, state, points)
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_rhs_across_xi_708_matches_double_loop(self, m):
+        # two clusters 30 apart at delta = 1: the pairs across them lie past xi = 708
+        system, state = random_system(np.random.default_rng(m), 8, m=m)
+        state = State(x=state.x + np.repeat([0.0, 30.0], 4), y=state.y)
+        self.assert_close(np.concatenate(rhs(system, state)), self.direct(system, state))
 
     def test_overflowing_imm_iterate_stops_at_once(self):
         # the Euler step is finite; the second iterate's midpoint overflows r2 in rhs
@@ -524,6 +570,12 @@ class TestGrid:
             State(x=np.array([1.0]), y=np.array([1.0, 2.0]))
         with pytest.raises(ConfigurationError):
             BlobSystem(m=4, h=1.0, delta=1.0, kappa=np.ones((2, 2)))
+
+    @pytest.mark.parametrize("h, delta", [(1.0, np.inf), (1.0, 1e-200), (1.0, 1e160), (np.inf, 1.0)])
+    def test_widths_no_pair_sum_can_use_are_rejected(self, h, delta):
+        # h or delta infinite, or delta * delta, which every xi = r2/delta^2 divides by, inf or 0
+        with pytest.raises(ConfigurationError, match="must be positive and finite"):
+            BlobSystem(m=4, h=h, delta=delta, kappa=[1.0, -1.0, 0.5])
 
     def test_state_holds_one_position_array(self):
         # x and y are the rows of xy; from_xy holds its array as it is
