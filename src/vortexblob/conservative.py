@@ -30,17 +30,20 @@ the bound that ``_far_threshold`` proves.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from . import model
 from .errors import ConfigurationError, DomainError
 from .expint import _horner, exp_integral_e1  # noqa: F401  E1 is unused here, but perfbench/spans.py wraps this name
 from .model import (
     ORDER_POLYNOMIALS,
     _check_order,
+    _tiles,
     conserved,
     multiplier,
     pair_differences,
@@ -235,17 +238,20 @@ def c_tau(m, xi_k, xi_k1):
 # w = W(xi), the potential_tail, and the c_tau switch band _band(xi);
 # a far pair's c_tau needs r2 alone.  Each part ends with its row segments:
 # the rows i of its pairs and the index of each row's first pair, what
-# np.add.reduceat needs to sum the i-side.
+# np.add.reduceat needs to sum the i-side.  i is None where the part does
+# not keep it, and is formed again from the segments.
 _NearPairs = namedtuple("_NearPairs", "i j d r2 e w band rows starts")
 _FarPairs = namedtuple("_FarPairs", "i j d r2 rows starts")
 
 
-def _prev_parts(system, prev, i, j):
-    """The near and far parts of the pairs (i, j) at the prev level, less those at zero distance.
+def _prev_parts(system, prev, keep_i, chunk):
+    """The near and far parts of the pairs chunk = (i, j) at the prev level, less those at zero distance.
 
     A pair at zero distance has xi = 0, so it can only be near, and the
-    near part leaves it out.  A part without pairs is left out.
+    near part leaves it out.  A part without pairs is left out.  Without
+    keep_i a part holds no i.
     """
+    i, j = chunk
     d, r2, zero = pair_differences(system, prev.xy, i, j)
     xi = r2 / system.delta**2
     far = xi > _XI_FAR[system.m]
@@ -255,7 +261,7 @@ def _prev_parts(system, prev, i, j):
         if not idx.size:
             continue
         rows = i[idx]
-        cols = [rows, j[idx], d.take(idx, axis=1), r2[idx]]
+        cols = [rows if keep_i else None, j[idx], d.take(idx, axis=1), r2[idx]]
         if kind is _NearPairs:
             xi_k = xi[idx]
             e = np.exp(-xi_k)
@@ -265,8 +271,9 @@ def _prev_parts(system, prev, i, j):
     return parts
 
 
-# Most prev-level pairs a PrevLevel holds, at 64 bytes (near) or 40 bytes
-# (far) each: at most 256 MB.
+# Most prev-level pairs a PrevLevel holds, at 56 bytes (near) or 32 bytes
+# (far) each, as a triangle of more than one chunk holds them: at most
+# 224 MB.
 _HELD_PAIRS = 4_000_000
 
 
@@ -279,47 +286,60 @@ class PrevLevel:
     prev r2 standing in, and then gives it weight 0.  A near pair holds its
     prev-level differences d, as pair_differences turns them, and r2,
     exp(-xi_k), W(xi_k) (model's potential_tail, the pair potential less its
-    log) and the c_tau switch band, 64 bytes; xi_k = r2/delta^2 is formed again per iterate.  A far pair
-    holds its differences and r2 alone, 40 bytes, and takes _far_form:
-    log1p(s)/s, with no exp, E1 or band, unless its xi_k1 falls to the
-    threshold.  At most _HELD_PAIRS pairs are held, which bounds the memory
-    at large M; the chunks past them are rebuilt on each evaluation.
+    log) and the c_tau switch band, 64 bytes; xi_k = r2/delta^2 is formed
+    again per iterate.  A far pair holds its differences and r2 alone, 40
+    bytes, and takes _far_form: log1p(s)/s, with no exp, E1 or band, unless
+    its xi_k1 falls to the threshold.  At most _HELD_PAIRS pairs are held,
+    which bounds the memory at large M; the chunks past them are rebuilt on
+    each evaluation.
 
     Each part keeps the triangle's order, sorted by i, and holds its row
     segments, found once here: the i-side of the scatter is one
     np.add.reduceat per component (a 64k-pair chunk: 0.25 ns a pair,
     against 3.7 ns for np.bincount over the sorted i, whose adds wait on each
-    other), the j-side stays on np.bincount.
+    other), the j-side stays on np.bincount.  The build and each
+    evaluation run over model's _tiles, one triangle chunk a tile: a
+    triangle of more than one tile runs its chunks on the tile pool, and
+    the caller adds their terms in chunk order, the serial sums bit for
+    bit.  A part of such a triangle holds no i, 8 bytes a pair less: each
+    evaluation forms it from the row segments by np.repeat.  A one-chunk
+    triangle keeps it, where forming it took 29% more per evaluation at
+    M = 3.
     """
 
     def __init__(self, system, prev):
         self.system, self.prev = system, prev
         self.d2 = system.delta**2
         self.scale = system.kappa / (4.0 * np.pi)  # kappa/2pi times the midpoint's 1/2
-        self.held, self.rest = [], system.size
+        self.n = n = system.size
+        self.pairs = n * (n - 1) // 2
+        self.held, self.rest = [], n
+        keep_i = self.pairs <= model._TILE  # one chunk: i costs little to keep, and more to form
+        _tiles(lambda chunk: _prev_parts(system, prev, keep_i, chunk), self._within_budget(), self.pairs,
+               self.held.append)
+
+    def _within_budget(self):
+        """The triangle's chunks up to _HELD_PAIRS pairs in all; rest is set to the first row past them."""
         budget = _HELD_PAIRS
-        for i, j in triangle_blocks(system.size):
-            if i.size > budget:
-                self.rest = int(i[0])
-                break
-            budget -= i.size
-            self.held += _prev_parts(system, prev, i, j)
+        for chunk in triangle_blocks(self.n):
+            if chunk[0].size > budget:
+                self.rest = int(chunk[0][0])
+                return
+            budget -= chunk[0].size
+            yield chunk
 
-    def _parts(self):
-        yield from self.held
-        for i, j in triangle_blocks(self.system.size, self.rest):
-            yield from _prev_parts(self.system, self.prev, i, j)
+    def _terms(self, u, item):
+        """The field terms at u of item, the held parts of a triangle chunk or a chunk (i, j) whose parts are built here.
 
-    def field(self, u):
-        """f_tau(prev, cand) at the cand positions u, a (2, M) array: midpoint differences weighted by c_tau / r2_k, each pair scattered to i and j.
-
-        Returns the (2, M) array (xdot, ydot), as rhs does.
+        One (rows, j_x, i_x, j_y, i_y) per part: per component, its j-side
+        np.bincount over all M vortices and its i-side np.add.reduceat per
+        row segment.
         """
-        system, scale = self.system, self.scale
-        n = system.size
-        out = np.zeros((2, n))
-        for p in self._parts():
-            d, r2, zero = pair_differences(system, u, p.i, p.j)
+        system, n = self.system, self.n
+        terms = []
+        for p in item if isinstance(item, list) else _prev_parts(system, self.prev, True, item):
+            i = p.i if p.i is not None else np.repeat(p.rows, np.diff(p.starts, append=p.j.size))
+            d, r2, zero = pair_differences(system, u, i, p.j)
             if zero is not None:  # the prev r2 stands in at zero cand distance
                 r2 = np.where(zero, p.r2, r2)
             if isinstance(p, _FarPairs):
@@ -331,10 +351,30 @@ class PrevLevel:
                 w[zero] = 0.0
             d += p.d  # the midpoint differences, weighted in place: d is this call's own
             d *= w
-            si, sj = scale[p.i], scale[p.j]
-            for out_k, wd in zip(out, d):
-                out_k -= np.bincount(p.j, wd * si, n)
-                out_k[p.rows] += np.add.reduceat(wd * sj, p.starts)
+            si, sj = self.scale[i], self.scale[p.j]
+            x, y = d[0], d[1]  # indexed: unpacking an array by iteration costs about 0.6 us
+            terms.append((p.rows, np.bincount(p.j, x * si, n), np.add.reduceat(x * sj, p.starts),
+                          np.bincount(p.j, y * si, n), np.add.reduceat(y * sj, p.starts)))
+        return terms
+
+    def field(self, u):
+        """f_tau(prev, cand) at the cand positions u, a (2, M) array: midpoint differences weighted by c_tau / r2_k, each pair scattered to i and j.
+
+        Returns the (2, M) array (xdot, ydot), as rhs does.
+        """
+        n = self.n
+        out = np.zeros((2, n))
+
+        def combine(terms):
+            x, y = out[0], out[1]
+            for rows, j_x, i_x, j_y, i_y in terms:
+                x -= j_x
+                x[rows] += i_x
+                y -= j_y
+                y[rows] += i_y
+
+        items = self.held if self.rest == n else itertools.chain(self.held, triangle_blocks(n, self.rest))
+        _tiles(lambda item: self._terms(u, item), items, self.pairs, combine)
         return out
 
 

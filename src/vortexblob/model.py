@@ -13,12 +13,12 @@ holds the positions as one (2, M) array, and every layer takes them so.
 
 Every O(M^2) sum of the package runs over one of three traversals here,
 each of which touches at most ``_TILE`` pair entries at a time, so its
-temporaries stay cache-sized.  ``pair_blocks`` without points yields the
-band of the vortex-vortex matrix for ``rhs``: chunks of ``_BAND_ROWS``
-rows, each against the columns from its first vortex on, so each pair's
-cutoff is formed once (twice inside a chunk) and serves both of its
-vortices.  ``pair_blocks`` with points yields points x vortices for the
-fields ``velocity_field`` and ``blob_vorticity``.  The chunked vortex-pair
+temporaries stay cache-sized.  ``rhs`` runs over the band of the
+vortex-vortex matrix, ``_band_chunk`` by ``_band_chunk``: chunks of
+``_BAND_ROWS`` rows, each against the columns from its first vortex on, so
+each pair's cutoff is formed once (twice inside a chunk) and serves both of
+its vortices.  ``_point_blocks`` runs points x vortices for the fields
+``velocity_field`` and ``blob_vorticity``.  The chunked vortex-pair
 triangle i < j, ``triangle_blocks`` with ``pair_differences``, serves every
 sum over pairs (the Hamiltonian in ``conserved`` and the conservative
 scheme's f_tau), each of which leaves out the zero-distance pairs of a
@@ -28,17 +28,25 @@ every difference, of positions turned a quarter turn, and r2, and raises
 DomainError naming the pair whose r2 overflows; ``_zeros`` raises
 PairDegeneracyError on coincident strength-bearing vortices in the band
 and the triangle; ``_times_exp`` takes the e^-xi terms as 0 past
-xi = 708.  The multiplier of the conservation laws is built from a vector
-field by ``multiplier``.  Every per-order polynomial is evaluated by
-:func:`vortexblob.expint._horner`, the package's one Horner, which E1's
-table also uses.
+xi = 708.  ``_tiles`` is the one dispatch of their tiles: a traversal of
+more than ``_TILE`` pair entries in total runs them on the caller's thread
+and a pool of ``_WORKERS`` - 1 threads, one per further CPU the process may
+run on, and the caller combines the tiles' terms in tile order, so every
+result has the same bits for any CPU count; a smaller one runs in the
+caller's thread and makes no pool.  The multiplier of the conservation
+laws is built from a vector field by ``multiplier``.  Every per-order
+polynomial is evaluated by :func:`vortexblob.expint._horner`, the
+package's one Horner, which E1's table also uses.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
 import numbers
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -259,6 +267,115 @@ def _grow_heap():
     np.empty(1 << 20)
 
 
+# CPUs this process may run on, which taskset limits: a traversal of more
+# than _TILE pair entries runs its tiles on this many threads, the caller's
+# among them.  Tests set it to check that no result depends on it.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOLS = {}  # thread pools by size, made on first use
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of its parent's pool threads
+    os.register_at_fork(after_in_child=lambda: _POOLS.clear())
+
+
+def _current_cpu():
+    """The CPU the calling thread last ran on, read from Linux's /proc, or None."""
+    try:
+        with open("/proc/thread-self/stat") as stat:
+            return int(stat.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _place(cpus):
+    """Pool thread initializer: run the new thread on the next CPU of the iterator cpus, then allow every CPU again.
+
+    A new thread starts on its creator's CPU, and where the kernel does not
+    balance load across the CPUs of a cpuset (sched_load_balance = 0, as on
+    some container hosts) it never leaves it.  On a 2-CPU Xeon host so set
+    up, two threads of numpy ufunc work took 1.0 times (0.76-1.17, 10 runs)
+    as long as one thread doing both, and 0.67 times (0.46-0.96) once one of
+    them was moved.  Elsewhere the scheduler moves the thread as it would
+    any other.
+    """
+    allowed = os.sched_getaffinity(0)
+    try:
+        os.sched_setaffinity(0, {next(cpus)})
+        os.sched_setaffinity(0, allowed)
+    except OSError:  # the CPU left the allowed set meanwhile: the thread stays where it is
+        pass
+
+
+def _pool(size):
+    """The pool of size threads, made on first use, each placed on a CPU other than the caller's where it can be."""
+    pool = _POOLS.get(size)
+    if pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        place = ()
+        if hasattr(os, "sched_setaffinity"):
+            allowed = os.sched_getaffinity(0)
+            place = (_place, (itertools.cycle(sorted(allowed - {_current_cpu()}) or allowed),))
+        pool = _POOLS.setdefault(size, ThreadPoolExecutor(size, "vortexblob-tiles", *place))
+    return pool
+
+
+def _tiles(work, items, entries, combine=None):
+    """combine(work(item)) for each item in order, or work(item) alone where combine is None: the one dispatch of a pair traversal.
+
+    A traversal of at most _TILE pair entries in total, or one on a single
+    CPU, runs in the caller's thread, and no pool is made.  Otherwise the
+    caller's thread and a pool of _WORKERS - 1 threads share the tiles.
+    items, which holds no None, is drawn lazily: at most two items per pool
+    thread wait or run there, each in a copy of the caller's contextvars
+    context, so that its np.errstate holds there, and the caller runs the
+    next item itself whenever the first result in order is not in, at most
+    4 _WORKERS results ahead.  combine runs in the caller's thread in item
+    order, so every sum meets its terms in the serial order.  The first
+    item in order whose work raises raises here, and only once no tile of
+    the call still runs.
+    """
+    _grow_heap()
+    if entries <= _TILE or _WORKERS < 2:
+        for item in items:
+            result = work(item)
+            if combine is not None:
+                combine(result)
+        return
+    import contextvars
+    from concurrent.futures import Future, wait
+
+    size = _WORKERS - 1
+    pool = _pool(size)
+    items, queue = iter(items), collections.deque()  # queue: the futures of the items drawn, in order
+    item = next(items, None)
+    try:
+        while queue or item is not None:
+            if item is not None and len(queue) < 4 * _WORKERS:
+                if sum(not f.done() for f in queue) < 2 * size:  # the caller's own are done
+                    queue.append(pool.submit(contextvars.copy_context().run, work, item))
+                    item = next(items, None)
+                    continue
+                if not queue[0].done():  # run one here rather than wait
+                    own = Future()
+                    try:
+                        own.set_result(work(item))
+                    except Exception as exc:  # it raises in its place in the order; no later item is needed
+                        own.set_exception(exc)
+                        item = None
+                    else:
+                        item = next(items, None)
+                    queue.append(own)
+                    continue
+            result = queue.popleft().result()
+            if combine is not None:
+                combine(result)
+    finally:
+        for f in queue:
+            f.cancel()
+        wait(queue)
+
+
 # np.errstate as a decorator costs about 1 us a call less than the with statement,
 # which builds the context object and calls its enter and exit methods, and at
 # M = 3 each iterate forms one block.  On a 64k-pair chunk each fresh 2 x 64k
@@ -293,48 +410,81 @@ def _zeros(system, r2, i, j):
     return zero
 
 
-def pair_blocks(system, state, points=None):
-    """The one traversal of pair differences by row blocks: yield (rows, d, r2, zero).
+def _turned(state):
+    """The positions of state, a State or its (2, M) array, turned a quarter turn: (-y, x), the direction of the kernel K."""
+    xy = getattr(state, "xy", state)
+    return np.array((-xy[1], xy[0]))
 
-    state is a State or its positions, a (2, M) array, as rhs takes them.
-    d = (-dy, dx) stacks the differences (dx, dy) of the block's points
-    from its vortices turned a quarter turn, the direction of the kernel K,
-    and r2 is their squared distances, (2, block, cols) and (block, cols)
-    arrays of at most _TILE entries a plane, or one row if it holds more.
-    zero indexes the entries r2 = 0 of r2's flat form, as _cutoff_over_r2
-    takes it: a slice, a mask, or None where there are none.
-    With points, a (2, N) array of positions, the points against every
-    vortex.  Without points, the band of the vortex-vortex matrix: the rows
-    fall in chunks of _BAND_ROWS vortices (all of them if fewer), and a
-    block, rows = slice(a, b) of the chunk that starts at vortex c, runs
-    against the columns [c, M), so its entries [k, a - c + k] are the
-    diagonal, r2 = 0, the flat slice from a - c by steps of M - c + 1.
-    A strength-bearing pair at zero distance raises PairDegeneracyError,
-    and an r2 that overflows raises DomainError naming the pair.
+
+def _band_entries(n):
+    """Pair entries of the band of n vortices, as _band_chunk forms them."""
+    if n <= _BAND_ROWS:
+        return n * n
+    return sum(min(_BAND_ROWS, n - c) * (n - c) for c in range(0, n, _BAND_ROWS))
+
+
+def _band_chunk(system, s, xy, vel, c):
+    """One chunk of rhs's band, the _BAND_ROWS vortices from c on (all of them if fewer): (c, part).
+
+    xy is _turned's positions and s = kappa/2pi.  The chunk's rows run
+    against the columns [c, M) in blocks of at most _TILE entries (or one
+    row if it holds more): d = (-dy, dx), the differences of a block's rows
+    from its columns turned a quarter turn, the direction of the kernel K,
+    and r2 their squared distances, whose entries [k, a - c + k] are the
+    diagonal, r2 = 0, the flat slice from a - c by steps of M - c + 1 for
+    the block of rows a, ... .  Each row's sum over its columns goes to
+    vel; part is the sum of the chunk's rows' terms of each column past
+    the chunk, in row order, or None where no column is past it.  A
+    strength-bearing pair at zero distance raises PairDegeneracyError, and
+    an r2 that overflows raises DomainError naming the pair.
     """
-    _grow_heap()
     n = system.size
-    x, y = getattr(state, "xy", state)
-    xy = np.array((-y, x))
-    if points is not None:
-        pxy = np.array((-points[1], points[0]))
-        step = max(1, _TILE // max(1, n))
-        for start in range(0, pxy.shape[1], step):
-            sl = slice(start, min(start + step, pxy.shape[1]))
-            d, r2 = _differences(pxy[:, sl, None], xy[:, None, :], (range(start, sl.stop), range(n)),
-                                 "point {} and vortex {}")
-            yield sl, d, r2, None if np.count_nonzero(r2) == r2.size else (r2 == 0.0).reshape(-1)
-        return
-    width = min(_BAND_ROWS, n) or 1
-    step = max(1, min(_BAND_ROWS, _TILE // max(1, n)))
-    for c in range(0, n, width):
-        for a in range(c, min(c + width, n), step):
-            b = min(a + step, c + width, n)
-            d, r2 = _differences(xy[:, a:b, None], xy[:, None, c:], (range(a, b), range(c, n)))
-            zero = slice(a - c, None, n - c + 1)  # the diagonal
-            if r2.size - np.count_nonzero(r2) > b - a:  # a zero off the diagonal
-                zero = _zeros(system, r2, np.arange(a, b)[:, None], np.arange(c, n)).reshape(-1)
-            yield slice(a, b), d, r2, zero
+    end = min(c + _BAND_ROWS, n)
+    step = max(1, min(_BAND_ROWS, _TILE // n))
+    part = None
+    for a in range(c, end, step):
+        b = min(a + step, end)
+        d, r2 = _differences(xy[:, a:b, None], xy[:, None, c:], (range(a, b), range(c, n)))
+        zero = slice(a - c, None, n - c + 1)  # the diagonal
+        if r2.size - np.count_nonzero(r2) > b - a:  # a zero off the diagonal
+            zero = _zeros(system, r2, np.arange(a, b)[:, None], np.arange(c, n)).reshape(-1)
+        w = _cutoff_over_r2(system.m, r2, system.delta, zero)
+        np.add.reduce((w * s[c:]) * d, axis=2, out=vel[:, a:b])
+        if end < n:  # the columns past the chunk take these pairs too
+            # the chunk's sums so far, then the block's rows, stacked first:
+            # numpy sums along a leading axis in order, so each column's sum
+            # keeps its order whatever the block size
+            terms = np.empty((1 + b - a, 2, n - end))
+            terms[0] = 0.0 if part is None else part
+            ws = w[:, _BAND_ROWS:] * s[a:b, None]
+            np.multiply(ws[:, None], d[:, :, _BAND_ROWS:].transpose(1, 0, 2), out=terms[1:])
+            part = np.add.reduce(terms)
+    return c, part
+
+
+def _point_blocks(system, state, points, tile):
+    """tile(rows, d, r2, zero) on each block of the points, a (2, N) array, against every vortex.
+
+    d and r2 are the turned differences and squared distances of the
+    points rows = slice(a, b) from the vortices, as _band_chunk forms them,
+    (2, b - a, M) and (b - a, M) arrays of at most _TILE entries a plane,
+    or one row if it holds more; zero indexes the entries r2 = 0 of r2's
+    flat form, as _cutoff_over_r2 takes it, or is None where there are
+    none.  An r2 that overflows raises DomainError naming the point and
+    the vortex.
+    """
+    n, xy = system.size, _turned(state)
+    pxy = np.array((-points[1], points[0]))
+    size = pxy.shape[1]
+    step = max(1, _TILE // max(1, n))
+
+    def block(a):
+        rows = slice(a, min(a + step, size))
+        d, r2 = _differences(pxy[:, rows, None], xy[:, None, :], (range(a, rows.stop), range(n)),
+                             "point {} and vortex {}")
+        tile(rows, d, r2, None if np.count_nonzero(r2) == r2.size else (r2 == 0.0).reshape(-1))
+
+    _tiles(block, range(0, size, step), size * n)
 
 
 def triangle_blocks(n, start=0):
@@ -343,7 +493,6 @@ def triangle_blocks(n, start=0):
     A chunk covers whole rows and at most _TILE pairs, or one row if that
     row alone holds more.
     """
-    _grow_heap()
     while start < n - 1:
         counts = np.arange(n - 1 - start, 0, -1)  # pairs in rows start, ..., n - 2
         ends = np.cumsum(counts)
@@ -357,15 +506,15 @@ def triangle_blocks(n, start=0):
 
 
 def pair_differences(system, xy, i, j):
-    """d, r2 and zero of the vortex pairs (i, j) at the positions xy, a (2, M) array: the triangle's counterpart of pair_blocks.
+    """d, r2 and zero of the vortex pairs (i, j) at the positions xy, a (2, M) array: the triangle's counterpart of _band_chunk's blocks.
 
-    d = (-dy, dx) and r2 are (2, P) and (P,) arrays, as pair_blocks yields
+    d = (-dy, dx) and r2 are (2, P) and (P,) arrays, as _band_chunk forms
     them, and zero is None or the mask r2 == 0 of the pairs every pair sum
     leaves out: a zero-strength vortex's pairs there carry no energy and no
     weight.  A strength-bearing pair at zero distance raises
     PairDegeneracyError, and an r2 that overflows DomainError.
     """
-    xy = np.array((-xy[1], xy[0]))  # turned as pair_blocks turns them
+    xy = np.array((-xy[1], xy[0]))  # turned as _turned turns them
     p = xy.take(i, axis=1)
     d, r2 = _differences(p, xy.take(j, axis=1), (i, j), out=p)
     return d, r2, None if r2.all() else _zeros(system, r2, i, j)
@@ -388,28 +537,19 @@ def rhs(system, state):
     the self-term vanishes because dx = dy = 0 on the diagonal.
     """
     n = system.size
-    s = system.kappa / (2.0 * np.pi)
     vel = np.empty((2, n))
     # sum over j in the chunks before i's of s_j w_ji (-dy_ji, dx_ji)
     cols = np.zeros((2, n)) if n > _BAND_ROWS else None
-    for sl, d, r2, zero in pair_blocks(system, state):
-        a, b = sl.start, sl.stop
-        c = n - r2.shape[1]
-        w = _cutoff_over_r2(system.m, r2, system.delta, zero)
-        np.add.reduce((w * s[c:]) * d, axis=2, out=vel[:, sl])
+
+    def combine(chunk):
+        c, part = chunk
         if c:  # the chunks before this one are done
-            vel[:, sl] -= cols[:, sl]
-        if c + _BAND_ROWS < n:  # the columns past the chunk take these pairs too
-            # the chunk's sums so far, then the block's rows, stacked first:
-            # numpy sums along a leading axis in order, so each column's sum
-            # keeps its order whatever the block size
-            terms = np.empty((1 + b - a, 2, n - c - _BAND_ROWS))
-            terms[0] = part if a > c else 0.0
-            ws = w[:, _BAND_ROWS:] * s[sl, None]
-            np.multiply(ws[:, None], d[:, :, _BAND_ROWS:].transpose(1, 0, 2), out=terms[1:])
-            part = np.add.reduce(terms)
-            if b == c + _BAND_ROWS:
-                cols[:, b:] += part
+            vel[:, c:c + _BAND_ROWS] -= cols[:, c:c + _BAND_ROWS]
+        if part is not None:
+            cols[:, c + _BAND_ROWS:] += part
+
+    work = functools.partial(_band_chunk, system, system.kappa / (2.0 * np.pi), _turned(state), vel)
+    _tiles(work, range(0, n, _BAND_ROWS), _band_entries(n), combine)
     return vel
 
 
@@ -430,9 +570,12 @@ def velocity_field(system, state, z):
     single, points = _points(z)
     out = np.empty((points.shape[1], 2))
     scale = system.kappa / (2.0 * np.pi)
-    for sl, d, r2, zero in pair_blocks(system, state, points):
+
+    def tile(rows, d, r2, zero):
         w = _cutoff_over_r2(system.m, r2, system.delta, zero) * scale[None, :]
-        out[sl] = np.add.reduce(w * d, axis=2).T
+        out[rows] = np.add.reduce(w * d, axis=2).T
+
+    _point_blocks(system, state, points, tile)
     return out[0] if single else out
 
 
@@ -440,9 +583,12 @@ def blob_vorticity(system, state, z):
     """Smoothed vorticity field at evaluation points z."""
     single, points = _points(z)
     out = np.empty(points.shape[1])
-    for sl, _, r2, _ in pair_blocks(system, state, points):
+
+    def tile(rows, d, r2, zero):
         zeta = _times_exp(ORDER_POLYNOMIALS[system.m].p, r2 / -(system.delta**2)) / system.delta**2
-        out[sl] = (zeta * system.kappa[None, :]).sum(axis=1)
+        out[rows] = (zeta * system.kappa[None, :]).sum(axis=1)
+
+    _point_blocks(system, state, points, tile)
     return float(out[0]) if single else out
 
 
@@ -465,25 +611,34 @@ def pair_potential(m, r2, delta):
     return np.log(np.abs(r2)) + potential_tail(m, r2 / delta**2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def conserved(system, state):
     """Circulation, linear impulses, angular impulse, and Hamiltonian.
 
     Raises DomainError if any of them is not finite (an overflow of the
-    strengths' products or of the positions).
+    strengths' products or of the positions); every sum is formed with
+    overflow and invalid values ignored, so that no RuntimeWarning comes
+    first.
     """
-    kappa = system.kappa
-    gamma = kappa.sum()
-    px = float((kappa * state.y).sum())
-    py = float(-(kappa * state.x).sum())
-    ell = float(-0.5 * (kappa * (state.x**2 + state.y**2)).sum())
-    ham = 0.0
-    for i, j in triangle_blocks(system.size):
+    kappa, n = system.kappa, system.size
+
+    def tile(chunk):
+        i, j = chunk
         _, r2, zero = pair_differences(system, state.xy, i, j)
         if zero is not None:
             i, j, r2 = i[~zero], j[~zero], r2[~zero]
-        v = pair_potential(system.m, r2, system.delta)
-        ham -= float((kappa[i] * kappa[j] * v).sum()) / (4.0 * np.pi)
-    values = (float(gamma), px, py, ell, ham)
+        return float((kappa[i] * kappa[j] * pair_potential(system.m, r2, system.delta)).sum())
+
+    gamma = float(kappa.sum())
+    px = float((kappa * state.y).sum())
+    py = float(-(kappa * state.x).sum())
+    ell = float(-0.5 * (kappa * (state.x**2 + state.y**2)).sum())
+    sums = []
+    _tiles(tile, triangle_blocks(n), n * (n - 1) // 2, sums.append)
+    ham = 0.0
+    for h in sums:
+        ham -= h / (4.0 * np.pi)
+    values = (gamma, px, py, ell, ham)
     if not all(map(math.isfinite, values)):
         raise DomainError(f"conserved quantities are not finite: {values}")
     return ConservedSet(*values)

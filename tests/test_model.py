@@ -254,6 +254,16 @@ class TestConserved:
         with pytest.raises(DomainError):
             conserved(system, State(x=[-1e200, 1e200], y=[0.0, 0.0]))
 
+    def test_overflow_is_domain_error_with_no_warning_first(self):
+        # no filterwarnings mark: the suite's error::RuntimeWarning filter turns
+        # any overflow warning into the error raised
+        system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=[1.0, 1.0, 1.0])
+        with pytest.raises(DomainError):  # x^2 sums past the floats in the angular impulse
+            conserved(system, State(x=[0.0, 1e154, -1e154], y=[0.0, 0.0, 0.0]))
+        system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=[1e200, -1e200, 1e200])
+        with pytest.raises(DomainError, match="not finite"):  # the strengths' products overflow
+            conserved(system, State(x=[0.0, 0.5, -0.3], y=[0.1, -0.2, 0.4]))
+
     def test_pair_potential_order_terms(self):
         xi = 0.9
         base = pair_potential(2, xi, 1.0)
