@@ -178,16 +178,18 @@ def _write_order_tables(args, x_name, points_of, **results):
     return EXIT_OK
 
 
-def _check_positive(flag, *values):
-    """A step size or end time of zero or less, or not finite, gives no step count."""
-    if not all(0.0 < value < math.inf for value in values):
-        raise ConfigurationError(f"{flag} must be positive and finite")
+def _step_count(flag, tau, t_final):
+    """round(t_final / tau); a step size or end time of zero or less, or not finite, or a ratio past the floats gives no step count."""
+    for name, value in ((flag, tau), ("--t-final", t_final)):
+        if not 0.0 < value < math.inf:
+            raise ConfigurationError(f"{name} must be positive and finite")
+    if t_final / tau == math.inf:
+        raise ConfigurationError(f"--t-final {t_final:g} over {flag} {tau:g} is more steps than a float holds")
+    return round(t_final / tau)
 
 
 def cmd_temporal_order(args):
-    _check_positive("--taus", *args.taus)
-    _check_positive("--t-final", args.t_final)
-    steps = [int(round(args.t_final / tau)) for tau in args.taus]
+    steps = [_step_count("--taus", tau, args.t_final) for tau in args.taus]
     if 0 in steps:
         tau = args.taus[steps.index(0)]
         raise ConfigurationError(f"--taus {tau:g} takes no step to --t-final {args.t_final:g}: "
@@ -206,10 +208,8 @@ def cmd_temporal_order(args):
 
 
 def cmd_spatial_order(args):
-    _check_positive("--tau", args.tau)
-    _check_positive("--t-final", args.t_final)
+    n_steps = max(1, _step_count("--tau", args.tau, args.t_final))
     solver = _solver_from_args(args)
-    n_steps = max(1, int(round(args.t_final / args.tau)))
     # without --p, m = 6 takes a profile smooth enough to expose its full order
     p_of = {m: args.p if args.p is not None else 15 if m == 6 else 3 for m in args.orders}
 

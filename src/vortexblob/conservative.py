@@ -104,6 +104,15 @@ def _band(xi_k):
     return np.clip(xi_k, DEFAULT_CTAU.epsilon_switch, 2.0) / 2.0
 
 
+@np.errstate(over="raise")
+def _quotient(a, b, name):
+    """a / b; an overflow raises DomainError, "{name} overflows", caught by errstate as model._differences does."""
+    try:
+        return a / b
+    except FloatingPointError:
+        raise DomainError(f"{name} overflows") from None
+
+
 def _c_tau(m, xi_k, e_k, w_k, band, xi_k1):
     """c_tau on arrays of pairs from the prev-level terms e_k = exp(-xi_k), w_k = W(xi_k) and band = _band(xi_k).
 
@@ -113,9 +122,9 @@ def _c_tau(m, xi_k, e_k, w_k, band, xi_k1):
     closed form on every pair, with s = 1 at the Taylor pairs so that z = 1
     never divides 0 by 0, and then the Taylor form on the Taylor pairs
     alone, picked by index: that costs less than copying the closed pairs
-    out by boolean mask.
+    out by boolean mask.  A z that overflows raises DomainError.
     """
-    z = xi_k1 / xi_k
+    z = _quotient(xi_k1, xi_k, "the ratio z of the squared distances")
     s = z - 1.0
     near = np.abs(s) * band <= DEFAULT_CTAU.epsilon_switch
     if near.all():
@@ -159,19 +168,20 @@ _XI_FAR = {m: _far_threshold(poly.q) for m, poly in ORDER_POLYNOMIALS.items()}
 
 
 def _far_form(m, r2_k, r2_k1, d2):
-    """c_tau of pairs with xi_k = r2_k/d2 above _XI_FAR[m], on arrays.
+    """c_tau of pairs from their squared distances r2_k, r2_k1 and d2 = delta^2, on arrays.
 
     log1p(s)/s with s = (r2_k1 - r2_k)/r2_k formed from the difference, so
-    that the log and its divisor see one s, and 1 where s == 0.  The pairs
-    whose xi_k1 falls to xi_far or below take the full _c_tau (their band
-    is 1).
+    that the log and its divisor see one s, and 1 where s == 0; an s that
+    overflows raises DomainError.  The pairs with either level's xi = r2/d2
+    at _XI_FAR[m] or below take the full _c_tau instead.
     """
-    s = (r2_k1 - r2_k) / r2_k
+    s = _quotient(r2_k1 - r2_k, r2_k, "the relative change s of a squared distance")
+    back = np.flatnonzero(np.minimum(r2_k, r2_k1) <= _XI_FAR[m] * d2)
+    s[back] = 0.0  # replaced below: so log1p never sees an s rounded to -1
     out = np.divide(np.log1p(s), s, out=np.ones_like(s), where=s != 0.0)
-    back = np.flatnonzero(r2_k1 <= _XI_FAR[m] * d2)
     if back.size:
         xi_k = r2_k[back] / d2
-        out[back] = _c_tau(m, xi_k, np.exp(-xi_k), None, 1.0, r2_k1[back] / d2)
+        out[back] = _c_tau(m, xi_k, np.exp(-xi_k), None, _band(xi_k), r2_k1[back] / d2)
     return out
 
 
@@ -202,34 +212,26 @@ def c_tau_closed(m, xi_k, xi_k1):
 def c_tau(m, xi_k, xi_k1):
     """Divided-difference cutoff factor between two time levels (vectorized).
 
-    Requires xi = (r/delta)^2 > 0 at both levels, as E1 does, and raises
-    DomainError otherwise.  With eps = DEFAULT_CTAU.epsilon_switch, uses
-    the truncated Taylor expansion when |xi_k1/xi_k - 1| clip(xi_k, eps, 2)/2
-    is at most eps, the closed form otherwise.  Below xi_k = 2 the closed
-    form's log z cancels against W(xi_k1) - W(xi_k) and loses about
-    u |log xi_k| / (xi_k |z - 1|), u the unit roundoff, while the Taylor
-    terms shrink like (xi_k (z - 1))^n; so from xi_k = 2 eps to 2 the Taylor
-    form reaches |xi_k1 - xi_k| = 2 eps.  Below xi_k = 2 eps it stops at
-    |z - 1| = 2, where the rounding of its coefficients, about
-    u (z - 1)^2 / xi_k relative, meets the closed form's: there
-    |z - 1|^3 = |log xi_k|.  Pairs with xi_k above the order's
-    far threshold take PrevLevel's far form, log1p(s)/s (_far_threshold
-    bounds what it drops).
+    Requires xi = (r/delta)^2 positive and finite at both levels, as E1
+    does, and xi_k1/xi_k finite; raises DomainError otherwise.  With eps =
+    DEFAULT_CTAU.epsilon_switch, uses the truncated Taylor expansion when
+    |xi_k1/xi_k - 1| clip(xi_k, eps, 2)/2 is at most eps, the closed form
+    otherwise.  Below xi_k = 2 the closed form's log z cancels against
+    W(xi_k1) - W(xi_k) and loses about u |log xi_k| / (xi_k |z - 1|), u the
+    unit roundoff, while the Taylor terms shrink like (xi_k (z - 1))^n; so
+    from xi_k = 2 eps to 2 the Taylor form reaches |xi_k1 - xi_k| = 2 eps.
+    Below xi_k = 2 eps it stops at |z - 1| = 2, where the rounding of its
+    coefficients, about u (z - 1)^2 / xi_k relative, meets the closed
+    form's: there |z - 1|^3 = |log xi_k|.  It is PrevLevel's _far_form at
+    delta = 1: log1p(s)/s where both levels lie above the order's far
+    threshold (_far_threshold bounds what it drops).
     """
     _check_order(m)
-    xi_k = np.asarray(xi_k, dtype=float)
-    xi_k1 = np.asarray(xi_k1, dtype=float)
-    if np.any(xi_k <= 0.0) or np.any(xi_k1 <= 0.0):
-        raise DomainError("c_tau requires positive separations at both time levels")
-    scalar = xi_k.ndim == 0 and xi_k1.ndim == 0
-    xi_k, xi_k1 = np.broadcast_arrays(np.atleast_1d(xi_k), np.atleast_1d(xi_k1))
-    out = np.empty(xi_k.shape)
-    far = xi_k > _XI_FAR[m]
-    near, far = np.flatnonzero(~far), np.flatnonzero(far)
-    a = xi_k[near]
-    out[near] = _c_tau(m, a, np.exp(-a), None, _band(a), xi_k1[near])
-    out[far] = _far_form(m, xi_k[far], xi_k1[far], 1.0)
-    return float(out[0]) if scalar else out
+    xi_k, xi_k1 = np.broadcast_arrays(np.asarray(xi_k, dtype=float), np.asarray(xi_k1, dtype=float))
+    if not all(((0.0 < xi) & (xi < np.inf)).all() for xi in (xi_k, xi_k1)):
+        raise DomainError("c_tau requires positive, finite separations at both time levels")
+    out = _far_form(m, xi_k.ravel(), xi_k1.ravel(), 1.0)
+    return float(out[0]) if xi_k.ndim == 0 else out.reshape(xi_k.shape)
 
 
 # The two parts of a prev-level chunk: pairs i < j at nonzero distance in
@@ -345,7 +347,7 @@ class PrevLevel:
             if isinstance(p, _FarPairs):
                 w = _far_form(system.m, p.r2, r2, self.d2)
             else:
-                w = _c_tau(system.m, p.r2 / self.d2, p.e, p.w, p.band, r2 / self.d2)
+                w = _c_tau(system.m, p.r2 / self.d2, p.e, p.w, p.band, _quotient(r2, self.d2, "the cand xi = r2/d2"))
             w /= p.r2
             if zero is not None:
                 w[zero] = 0.0

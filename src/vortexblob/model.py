@@ -554,10 +554,10 @@ def rhs(system, state):
 
 
 def _points(z):
-    """(single, points as a (2, N) array) for one point (2,) or an array of points (N, 2); other shapes raise ConfigurationError."""
+    """(single, points as a (2, N) array) for one finite point (2,) or an array of them (N, 2); anything else raises ConfigurationError."""
     z = np.asarray(z, dtype=float)
-    if z.ndim not in (1, 2) or z.shape[-1] != 2:
-        raise ConfigurationError(f"evaluation points must have shape (2,) or (N, 2), got {z.shape}")
+    if z.ndim not in (1, 2) or z.shape[-1] != 2 or not np.isfinite(z).all():
+        raise ConfigurationError(f"evaluation points must be finite, of shape (2,) or (N, 2), got {z.shape}")
     return z.ndim == 1, z.reshape(-1, 2).T
 
 

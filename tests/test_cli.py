@@ -287,6 +287,16 @@ class TestExitCodes:
         assert "--t-final must be positive" in capsys.readouterr().err
         assert not (tmp_path / "bad" / "errors.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["temporal-order", "--taus", "1e-300", "--t-final", "1e10"],
+        ["spatial-order", "--grids", "2", "4", "--t-final", "1e300", "--tau", "1e-10"],
+    ])
+    def test_step_count_past_the_floats_is_usage_error(self, argv, tmp_path, capsys):
+        # t_final / tau overflows: no step count, where int(inf) once exited 1
+        assert main([*argv, "--orders", "2", "--out", str(tmp_path / "bad")]) == EXIT_USAGE
+        assert "more steps than a float holds" in capsys.readouterr().err
+        assert not (tmp_path / "bad" / "errors.csv").exists()
+
     @pytest.mark.parametrize("taus", [["0.5"], ["0.05", "0.025", "0.4"]])
     def test_tau_without_a_step_is_usage_error(self, taus, tmp_path, capsys, monkeypatch):
         # round(t_final / tau) = 0 steps measured an error of exactly 0 at tau = 0.5

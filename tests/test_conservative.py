@@ -101,6 +101,15 @@ class TestCTau:
         with pytest.raises(DomainError):
             c_tau(4, 1.0, -0.5)
 
+    @pytest.mark.parametrize("xi_k, xi_k1", [(1e-300, 1e300), (np.inf, 1.0), (np.inf, np.inf)])
+    def test_overflowing_or_infinite_xi_rejected(self, xi_k, xi_k1):
+        # s = xi_k1/xi_k - 1 past the floats, or a level that is no separation:
+        # DomainError, with no RuntimeWarning first (warnings are errors here)
+        with pytest.raises(DomainError):
+            c_tau(2, xi_k, xi_k1)
+        with pytest.raises(DomainError):
+            c_tau(4, np.array([1.0, xi_k]), np.array([1.0, xi_k1]))
+
     def test_vectorized_matches_scalar(self):
         # one array takes both branches: Taylor pairs, closed-form pairs, pairs
         # with xi_k1 == xi_k exactly and close pairs below xi_k = 1e-4.  Each pair
@@ -115,6 +124,9 @@ class TestCTau:
             out = c_tau(m, xi_k, xi_k1)
             assert np.all(np.isfinite(out))
             assert np.array_equal(out, [c_tau(m, float(a), float(b)) for a, b in zip(xi_k, xi_k1)])
+            # and broadcast to 2-d, every xi_k against every xi_k1, keeping the shape
+            grid = c_tau(m, xi_k[:, None], xi_k1)
+            assert np.array_equal(grid, [[c_tau(m, float(a), float(b)) for b in xi_k1] for a in xi_k])
 
     def test_matches_mpmath_on_close_pairs(self):
         # below xi_k = 2 the closed form's log z cancels against W(xi_k1) - W(xi_k)
@@ -160,10 +172,12 @@ class TestCTau:
         xi_k, xi_k1 = 1.8164626212140554e-4, 2.9959538858357633e-4
         assert abs(c_tau(2, xi_k, xi_k1) / mpmath_c_tau(mpmath, 2, [xi_k], [xi_k1])[0] - 1.0) <= 2e-11
 
-    @pytest.mark.parametrize("m, xi_k, xi_k1", [(4, 1000.0, 100.0), (6, 800.0, 50.0), (6, 760.0, 1.0), (4, 100.0, 1000.0)])
+    @pytest.mark.parametrize("m, xi_k, xi_k1", [(4, 1000.0, 100.0), (6, 800.0, 50.0), (6, 760.0, 1.0), (4, 100.0, 1000.0),
+                                                (2, 1.0, 1e-20), (4, 50.0, 1e-16)])
     def test_large_drop_in_xi_stays_finite(self, m, xi_k, xi_k1):
         # e^-xi_k underflows while e^(xi_k - xi_k1) overflows: the closed form must
-        # never multiply the two (RuntimeWarnings are errors in this suite)
+        # never multiply the two (RuntimeWarnings are errors in this suite); and
+        # where s = xi_k1/xi_k - 1 rounds to -1 log1p(s) must not be taken
         mpmath = pytest.importorskip("mpmath")
         assert c_tau(m, xi_k, xi_k1) == pytest.approx(mpmath_c_tau(mpmath, m, [xi_k], [xi_k1])[0], rel=1e-14)
 
@@ -443,6 +457,16 @@ class TestStep:
                       y=[-0.4598076641559601, -0.28559474274516106, -0.47365347295999527])
         record, _ = integrate(system, state, 1.0, 20, "dmm")
         assert record.max_drift().max() <= 1e-11
+
+    def test_overflowing_ratio_is_solver_failure(self):
+        # the cand level puts vortices 0 and 1, 0.1 apart before, 1e154 apart:
+        # their r2 is finite but z = r2_k1/r2_k is not
+        system = BlobSystem(m=4, h=1.0, delta=1.0, kappa=[1.0, 1.0, 1.0])
+        prev, cand = State(x=[0.0, 0.1, 0.5], y=[0.0, 0.0, 0.0]), State(x=[0.0, 1e154, 0.5], y=[0.0, 0.0, 0.0])
+        with pytest.raises(DomainError, match="ratio z of the squared distances overflows"):
+            dmm_rhs(system, prev, cand)
+        with pytest.raises(SolverFailureError, match="iterate 1 is outside the field's domain"):
+            dmm_step(system, prev, 1.0, guess=cand.xy)
 
     def test_solver_failure_carries_diagnostics(self):
         rng = np.random.default_rng(17)

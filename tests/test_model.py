@@ -641,3 +641,13 @@ class TestVorticityField:
             with pytest.raises(ConfigurationError):
                 field(system, state, z)
         assert np.shape(field(system, state, np.zeros((0, 2))))[0] == 0
+
+    @pytest.mark.parametrize("field", [velocity_field, blob_vorticity])
+    @pytest.mark.parametrize("point", [[np.inf, 0.0], [np.nan, 0.0]])
+    def test_points_must_be_finite(self, field, point):
+        # as State's positions: no NaN field, and no RuntimeWarning first
+        system = BlobSystem(m=2, h=1.0, delta=0.5, kappa=np.array([1.0]))
+        state = State(x=np.array([0.0]), y=np.array([0.0]))
+        for z in (point, [[0.0, 1.0], point]):
+            with pytest.raises(ConfigurationError, match="must be finite"):
+                field(system, state, z)

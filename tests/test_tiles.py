@@ -130,6 +130,23 @@ def test_errors_of_a_later_tile_name_the_serial_pair(call, bad, small_tiles, mon
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("pair", [(16, 120), (140, 145)])
+def test_overflowing_cand_ratio_of_a_later_tile_is_domain_error(pair, small_tiles, monkeypatch):
+    # pair 0.1 apart, far from the rest, in a held and in a rebuilt chunk; at the
+    # cand level 1e154 apart, a finite r2 whose ratio z to the prev r2 overflows
+    i, j = pair
+    system, state = system_and_state()
+    xy = state.xy.copy()
+    xy[:, [i, j]] = [[5.0, 5.1], [0.0, 0.0]]
+    prev = State.from_xy(xy)
+    cand = place(prev, x={j: 1e154})
+    for workers in (1, 2):
+        monkeypatch.setattr(vortexblob.model, "_WORKERS", workers)
+        with pytest.raises(DomainError, match="ratio z of the squared distances overflows"):
+            PrevLevel(system, prev).field(cand.xy)
+    assert vortexblob.model._POOLS
+
+
 @pytest.mark.parametrize("field", [velocity_field, blob_vorticity])
 def test_point_errors_of_a_later_tile_name_the_serial_pair(field, small_tiles, monkeypatch):
     system, state = system_and_state()
