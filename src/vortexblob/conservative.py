@@ -25,7 +25,7 @@ V = log xi + W(xi) whose sum is the Hamiltonian, in closed form
 pair separations agree; there it takes a truncated Taylor expansion in
 z - 1, z the squared-separation ratio, by the one switch that ``c_tau``'s
 docstring states with its error balance.  Far pairs take log1p(s)/s, by
-the bound that ``_far_threshold`` proves.
+the bound that ``_far_threshold`` proves, or log(z)/s where s < -1/2.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .expint import _horner, exp_integral_e1  # noqa: F401  E1 is unused here, b
 from .model import (
     ORDER_POLYNOMIALS,
     _check_order,
+    _minus_xi,
     _tiles,
     conserved,
     multiplier,
@@ -167,18 +168,33 @@ def _far_threshold(q):
 _XI_FAR = {m: _far_threshold(poly.q) for m, poly in ORDER_POLYNOMIALS.items()}
 
 
+# Far pairs whose s = z - 1 lies below this take log(z)/s, not log1p(s)/s:
+# s holds 1 + s only to about eps/(1 + s) relative, to nothing where s
+# rounds to -1 (log1p(-1) = -inf), and to 2 eps from here up.
+_S_SHRINK = -0.5
+
+
 def _far_form(m, r2_k, r2_k1, d2):
     """c_tau of pairs from their squared distances r2_k, r2_k1 and d2 = delta^2, on arrays.
 
     log1p(s)/s with s = (r2_k1 - r2_k)/r2_k formed from the difference, so
     that the log and its divisor see one s, and 1 where s == 0; an s that
-    overflows raises DomainError.  The pairs with either level's xi = r2/d2
-    at _XI_FAR[m] or below take the full _c_tau instead.
+    overflows raises DomainError.  Where s < _S_SHRINK, the squared distance
+    more than halves, it is the closed form log(z)/s, which takes
+    z = r2_k1/r2_k whole; only a chunk whose smallest s lies there pays
+    for the mask.  The pairs with either level's xi = r2/d2 at _XI_FAR[m] or
+    below take the full _c_tau instead.
     """
     s = _quotient(r2_k1 - r2_k, r2_k, "the relative change s of a squared distance")
     back = np.flatnonzero(np.minimum(r2_k, r2_k1) <= _XI_FAR[m] * d2)
-    s[back] = 0.0  # replaced below: so log1p never sees an s rounded to -1
+    s[back] = 0.0  # replaced below
+    shrunk = np.flatnonzero(s < _S_SHRINK) if s.min(initial=0.0) < _S_SHRINK else None
+    if shrunk is not None:
+        s_shrunk = s[shrunk]
+        s[shrunk] = 0.0  # replaced below: so log1p never sees an s rounded to -1
     out = np.divide(np.log1p(s), s, out=np.ones_like(s), where=s != 0.0)
+    if shrunk is not None:
+        out[shrunk] = np.log(r2_k1[shrunk] / r2_k[shrunk]) / s_shrunk
     if back.size:
         xi_k = r2_k[back] / d2
         out[back] = _c_tau(m, xi_k, np.exp(-xi_k), None, _band(xi_k), r2_k1[back] / d2)
@@ -255,8 +271,8 @@ def _prev_parts(system, prev, keep_i, chunk):
     """
     i, j = chunk
     d, r2, zero = pair_differences(system, prev.xy, i, j)
-    xi = r2 / system.delta**2
-    far = xi > _XI_FAR[system.m]
+    minus_xi, _ = _minus_xi(r2, system.delta)  # -inf where xi overflows: far
+    far = minus_xi < -_XI_FAR[system.m]
     near = ~far if zero is None else ~(far | zero)
     parts = []
     for kind, idx in ((_NearPairs, np.flatnonzero(near)), (_FarPairs, np.flatnonzero(far))):
@@ -265,8 +281,9 @@ def _prev_parts(system, prev, keep_i, chunk):
         rows = i[idx]
         cols = [rows if keep_i else None, j[idx], d.take(idx, axis=1), r2[idx]]
         if kind is _NearPairs:
-            xi_k = xi[idx]
-            e = np.exp(-xi_k)
+            minus_xi_k = minus_xi[idx]
+            e = np.exp(minus_xi_k)
+            xi_k = -minus_xi_k
             cols += [e, potential_tail(system.m, xi_k, e), _band(xi_k)]
         starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
         parts.append(kind(*cols, rows[starts], starts))

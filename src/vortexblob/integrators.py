@@ -5,13 +5,17 @@ Explicit methods: classical RK4 and Ralston's minimal-truncation-error
 tableaux.  Implicit methods: the implicit midpoint method and the
 conservative scheme, whose discrete vector field f_tau is evaluated from
 a :class:`vortexblob.conservative.PrevLevel` built once per step; one
-fixed-point driver solves both.  A step on its own starts from the
-explicit Euler step from ``rhs`` at the start state (for dmm,
-f_tau(state, state) to rounding at less cost), or from a guess it is
-given.  The driver runs Picard while Picard contracts fast and
-switches to Anderson mixing once an update shrinks by less than _RHO_MIX:
-on the 316-vortex grid at tau = 1 that cuts a dmm step from 20 iterates to
-14 and an imm step from 18 to 15, while M = 3 systems at tau = 1 and the
+fixed-point driver solves both.  A step's first iterate is G(guess) of a
+guess it is given, or without one of the positions of Ralston's RM2 step
+from the start state, two ``rhs`` calls (for dmm, rhs(u) is f_tau(u, u)
+to rounding at less cost).  Against the explicit Euler step, the start
+before it, that cuts a fresh step at tau = 0.001 on the 208-, 812- and
+3228-vortex grids from 4 iterates to 2, and steps 1 and 2 on the
+316-vortex grid at tau = 1 from 14 to 12 (dmm) and 15 to 13 (imm).  The
+driver runs Picard while Picard contracts fast and switches to Anderson
+mixing once an update shrinks by less than _RHO_MIX: on the 316-vortex
+grid at tau = 1 that cuts a fresh dmm step from 17 iterates to 12 and an
+imm step from 16 to 13, while M = 3 systems at tau = 1 and the
 grids at tau = 0.001 almost never mix and run plain Picard.
 
 Two trajectory drivers share one stepping loop: ``advance`` returns the
@@ -19,11 +23,13 @@ final state of a run, and ``integrate`` also samples the conserved
 quantities along it, a ``conserved()`` call each, into a ``RunRecord``.
 From the third step of a run on, the loop hands each implicit step the
 polynomial extrapolation through the last accepted positions (degree 2,
-then up to _DEGREE) as its guess; it costs no field evaluation.  It cuts
-dmm iterates a step from 8.8 to 6.3 on M = 3 systems at tau = 1, and
-steps 3 and 4 at M = 812, tau = 0.001 from 4 iterates to 2 and 1.  Every
-step still stops at the same residual bound, so dmm keeps the invariants
-to solver tolerance.
+then up to _DEGREE) as its guess; it costs no field evaluation.  Against
+the Euler start it cut dmm iterates a step from 8.8 to 6.3 on M = 3
+systems at tau = 1, and steps 3 and 4 at M = 812, tau = 0.001 from 4
+iterates to 2 and 1.  50-step dmm runs of 50 such systems at m = 2 take
+6.05 iterates a step, against 6.76 with the RM2 start at every step.
+Every step still stops at the same residual bound, so dmm keeps the
+invariants to solver tolerance.
 """
 
 from __future__ import annotations
@@ -124,29 +130,28 @@ def _positions(v):
     return v
 
 
-def _explicit_rk_step(tableau, system, state, tau):
-    """One explicit Runge-Kutta step from state.xy: each stage reaches rhs as a checked (2, M) array; only the returned State is built."""
+def _explicit_rk_step(tableau, system, u, tau):
+    """The checked (2, M) positions of one explicit Runge-Kutta step from the positions u; each stage reaches rhs as a checked (2, M) array."""
     stages, (scale, terms) = tableau
-    u = state.xy
     ks = [rhs(system, u)]
     for stage_scale, stage_terms in stages:
         ks.append(rhs(system, _positions(_combine(u, stage_scale * tau, stage_terms, ks))))
-    return State.from_xy(_positions(_combine(u, scale * tau, terms, ks)), state.t + tau)
+    return _positions(_combine(u, scale * tau, terms, ks))
 
 
 def rk4_step(system, state, tau):
     """Classical 4-stage Runge-Kutta step."""
-    return _explicit_rk_step(_RK4, system, state, tau)
+    return State.from_xy(_explicit_rk_step(_RK4, system, state.xy, tau), state.t + tau)
 
 
 def rm2_step(system, state, tau):
     """Ralston's 2nd-order step (stages at 0 and 2/3, weights 1/4 and 3/4)."""
-    return _explicit_rk_step(_RM2, system, state, tau)
+    return State.from_xy(_explicit_rk_step(_RM2, system, state.xy, tau), state.t + tau)
 
 
 def rm4_step(system, state, tau):
     """Ralston's 4th-order minimum-error step."""
-    return _explicit_rk_step(_RM4, system, state, tau)
+    return State.from_xy(_explicit_rk_step(_RM4, system, state.xy, tau), state.t + tau)
 
 
 # Anderson mixing of the Picard map (type II, Walker & Ni, SIAM J. Numer.
@@ -199,14 +204,15 @@ class _Mixer:
 
 
 # Degree of the polynomial through the last accepted positions of a
-# trajectory that gives an implicit step its first iterate (starting
-# approximations, Hairer, Lubich & Wanner, Geometric Numerical Integration,
-# VIII.6.1).  Degree d takes d + 1 positions, so the third step takes
-# degree 2, the fourth degree 3 and so on up to _DEGREE; the first two start
-# from the Euler step.  Degree 1 is left out: its error, tau^2 |x''|, is
-# twice the Euler step's, and G(guess) costs an f_tau where the Euler step
-# costs one rhs.  dmm iterates a step on 150 random M = 3 systems, 50 steps
-# at tau = 1 and m = 2, 4, 6: 8.7 / 9.4 / 9.5 from the Euler step, and with a
+# trajectory that gives an implicit step its guess (starting approximations,
+# Hairer, Lubich & Wanner, Geometric Numerical Integration, VIII.6.1).
+# Degree d takes d + 1 positions, so the third step takes degree 2, the
+# fourth degree 3 and so on up to _DEGREE; the first two take the RM2 start
+# (_start).  Degree 1 is left out: its error, tau^2 |x''|, is twice the
+# explicit Euler step's, which was the start before RM2's.  The figures
+# below were measured against the Euler start: dmm iterates a step on 150
+# random M = 3 systems, 50 steps at tau = 1 and m = 2, 4, 6: 8.7 / 9.4 / 9.5
+# from the Euler step, and with a
 # cap of degree 2 / 3 / 4 7.4 / 8.2 / 8.4, 6.7 / 7.7 / 8.0 and 6.1 / 7.3 / 7.6,
 # with no failure and no higher maximum.  On the 316-vortex grid at tau = 1
 # imm steps 3-8 took 15 iterates from the Euler step, 13-14 with degree 2 and
@@ -233,13 +239,13 @@ class _History:
         self.rows[0] = state.xy
         self.count += 1
 
-    @np.errstate(over="ignore", invalid="ignore")  # a non-finite extrapolation is the Euler start
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite extrapolation is the RM2 start
     def guess(self):
-        """The extrapolated next positions as a (2, M) array, or None for the Euler start:
+        """The extrapolated next positions as a (2, M) array, or None for the RM2 start:
         before the third step, or where the extrapolation is not finite.
 
         One sum tests the entries: it is finite where they all are, unless it
-        overflows, which leaves such a step to the Euler start as well.
+        overflows, which leaves such a step to the RM2 start as well.
         """
         d = min(self.count - 1, _DEGREE)
         if d < 2:
@@ -248,38 +254,34 @@ class _History:
         return u.reshape(2, -1) if math.isfinite(u.sum()) else None
 
 
-def _fixed_point(state, tau, solver, velocity, field_at, guess=None):
-    """Solve u = state.xy + tau * field_at(u) by iteration from the Euler step or from a guess.
+def _fixed_point(state, tau, solver, field_at, guess):
+    """Solve u = state.xy + tau * field_at(u) by iteration from guess, a finite (2, M) array of positions.
 
     The iterates u, which no State wraps, and the field's values are (2, M)
-    arrays.  Without a guess, velocity is rhs(system, state), so the first
-    iterate is the explicit Euler step state.xy + tau * velocity.  With
-    guess, a finite (2, M) array, velocity is None and the first iterate is
-    G(guess), G(u) = state.xy + tau * field_at(u), as every later one is.
-    Converged when the max-norm update |G(u) - u| is at most
-    solver.threshold(state), returning G(u); the iteration count includes
-    the first iterate.  The next iterate is G(u) (Picard) until an update
-    is more than _RHO_MIX times the one before; from there on in the step
-    it is Anderson-mixed over the last _DEPTH differences (see _Mixer),
-    falling back to G(u) where the mixing fails.  Raises
+    arrays.  The first iterate is G(guess), G(u) = state.xy +
+    tau * field_at(u), as every later one is G of the one before or a
+    mixing of such.  Converged when the max-norm update |G(u) - u| is at
+    most solver.threshold(state), returning G(u); the iteration count
+    includes the first iterate.  The next iterate is G(u) (Picard) until an
+    update is more than _RHO_MIX times the one before; from there on in the
+    step it is Anderson-mixed over the last _DEPTH differences (see
+    _Mixer), falling back to G(u) where the mixing fails.  Raises
     SolverFailureError when an iterate is not finite, when field_at raises
     DomainError at an iterate (an overflow of the pair terms), or after
     solver.max_iters iterates.
     """
-    u0 = state.xy
-    u = u0 if guess is None else guess
+    u0, u = state.xy, guess
     threshold = solver.threshold(state)
     residual = np.inf
     mixer = f_prev = g_prev = None
     for iteration in range(1, solver.max_iters + 1):
-        if iteration > 1 or velocity is None:
-            try:
-                velocity = field_at(u)
-            except DomainError as exc:
-                raise SolverFailureError(
-                    iteration, residual, last_state=State.from_xy(u, state.t + tau),
-                    message=f"iterate {iteration} is outside the field's domain: {exc}",
-                ) from exc
+        try:
+            velocity = field_at(u)
+        except DomainError as exc:
+            raise SolverFailureError(
+                iteration, residual, last_state=State.from_xy(u, state.t + tau),
+                message=f"iterate {iteration} is outside the field's domain: {exc}",
+            ) from exc
         g = u0 + tau * velocity
         f = g - u
         previous, residual = residual, float(np.abs(f).max(initial=0.0))
@@ -294,35 +296,54 @@ def _fixed_point(state, tau, solver, velocity, field_at, guess=None):
     raise SolverFailureError(solver.max_iters, residual, last_state=State.from_xy(u, state.t + tau))
 
 
+def _start(system, state, tau, guess):
+    """guess, or without one the positions of Ralston's RM2 step from state: the guess whose G is a step's first iterate.
+
+    Within O(tau^3) of the answer, where the explicit Euler step is within
+    O(tau^2), for one rhs call more: that saves an f_tau (Hairer, Lubich &
+    Wanner, Geometric Numerical Integration, VIII.6.1).  A stage outside
+    the field's domain, or non-finite positions, fail iterate 1, with the
+    step's start as last_state.
+    """
+    if guess is not None:
+        return guess
+    try:
+        return _explicit_rk_step(_RM2, system, state.xy, tau)
+    except DomainError as exc:
+        raise SolverFailureError(1, np.inf, last_state=state,
+                                 message=f"the RM2 start of iterate 1 is outside the field's domain: {exc}") from exc
+    except SolverFailureError as exc:
+        raise SolverFailureError(1, np.inf, last_state=state, message="the RM2 start of iterate 1 is not finite") from exc
+
+
 def imm_step(system, state, tau, solver=DEFAULT_SOLVER, guess=None):
     """Implicit midpoint step solved by fixed-point iteration.
 
-    The first iterate is the explicit Euler step from rhs(system, state),
-    or, with guess (a finite (2, M) array of positions), G(guess); see
-    _fixed_point.  Preserves the quadratic invariants (linear and angular
-    impulse) to solver tolerance; the Hamiltonian is only approximately
-    conserved.
+    The first iterate is G(guess), with guess (a finite (2, M) array of
+    positions) or without one the positions of Ralston's RM2 step, two rhs
+    calls; see _fixed_point.  Preserves the quadratic invariants (linear
+    and angular impulse) to solver tolerance; the Hamiltonian is only
+    approximately conserved.
     """
-    return _fixed_point(state, tau, solver, rhs(system, state.xy) if guess is None else None,
-                        lambda u: rhs(system, 0.5 * (state.xy + u)), guess)
+    guess = _start(system, state, tau, guess)
+    return _fixed_point(state, tau, solver, lambda u: rhs(system, 0.5 * (state.xy + u)), guess)
 
 
 def dmm_step(system, state, tau, solver=DEFAULT_SOLVER, guess=None):
-    """One conservative step by fixed-point iteration from the Euler step or from a guess.
+    """One conservative step by fixed-point iteration from a guess.
 
-    Without guess, the first iterate is the Euler step, which takes
-    rhs(system, state), f_tau(state, state) to rounding at 0.55-0.8 times
-    the cost of f_tau over the held pair triangle (M = 3 to 3228); it runs
-    before the prev level's pair terms are built once.  With guess, a
-    finite (2, M) array of positions, the first iterate is G(guess), one
-    f_tau, and no rhs is taken.  Each iteration after the first evaluates
-    f_tau at the cand level only.  The iteration count includes the first
-    iterate.  Raises SolverFailureError if the max-norm position update
-    does not drop to solver.threshold(state), tol times the position scale
-    max(1, |x|, |y|), within solver.max_iters iterations.
+    The first iterate is G(guess), one f_tau, with guess a finite (2, M)
+    array of positions, or without one the positions of Ralston's RM2
+    step: two rhs calls, rhs(u) being f_tau(u, u) to rounding at 0.55-0.8
+    times the cost of f_tau over the held pair triangle (M = 3 to 3228),
+    run before the prev level's pair terms are built once.  Each iterate
+    evaluates f_tau at the cand level only.  The iteration count includes
+    the first iterate.  Raises SolverFailureError if the max-norm position
+    update does not drop to solver.threshold(state), tol times the position
+    scale max(1, |x|, |y|), within solver.max_iters iterations.
     """
-    return _fixed_point(state, tau, solver, rhs(system, state.xy) if guess is None else None,
-                        conservative.PrevLevel(system, state).field, guess)
+    guess = _start(system, state, tau, guess)
+    return _fixed_point(state, tau, solver, conservative.PrevLevel(system, state).field, guess)
 
 
 # Method name -> (step function name in this module, whether it is implicit:
@@ -342,10 +363,10 @@ class RunRecord:
     """Sample times, the conserved quantities at each sample, and solver diagnostics.
 
     ``iterations`` holds the solver's iteration count of every step of an
-    implicit method, sampled or not, counting the step's first iterate: the
-    Euler step at steps 1 and 2, and from step 3 on G(guess) of the
-    extrapolated guess, or the Euler step where that is not finite;
-    ``wall_time`` is the stepping time in seconds.
+    implicit method, sampled or not, counting the step's first iterate: G of
+    the RM2 step's positions at steps 1 and 2, and from step 3 on G(guess) of
+    the extrapolated guess, or of the RM2 positions where that is not
+    finite; ``wall_time`` is the stepping time in seconds.
     """
 
     times: list = field(default_factory=list)
@@ -379,11 +400,11 @@ def _check_run(system, state, tau, n_steps, method):
 def _run(system, state, tau, n_steps, method, solver, after_step=None):
     """The one stepping loop of integrate and advance: n_steps of method from state; returns the final state.
 
-    An implicit step takes its first iterate from the _History of the
-    positions accepted so far.  after_step(k, state, outcome), if given,
-    runs after step k with the new state and the step's StepOutcome (None
-    for an explicit method).  An error of a step or of after_step
-    propagates with step_index k noted.
+    An implicit step takes its guess from the _History of the positions
+    accepted so far, and the RM2 start where that gives None.
+    after_step(k, state, outcome), if given, runs after step k with the new
+    state and the step's StepOutcome (None for an explicit method).  An
+    error of a step or of after_step propagates with step_index k noted.
     """
     step_name, implicit = _STEP_FUNCTIONS[method]
     step = globals()[step_name]  # by name at call time, so a replaced module attribute is used

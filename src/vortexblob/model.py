@@ -27,13 +27,14 @@ three share one kernel of each pair mechanism: ``_differences`` forms
 every difference, of positions turned a quarter turn, and r2, and raises
 DomainError naming the pair whose r2 overflows; ``_zeros`` raises
 PairDegeneracyError on coincident strength-bearing vortices in the band
-and the triangle; ``_times_exp`` takes the e^-xi terms as 0 past
-xi = 708.  ``_tiles`` is the one dispatch of their tiles: a traversal of
-more than ``_TILE`` pair entries in total runs them on the caller's thread
-and a pool of ``_WORKERS`` - 1 threads, one per further CPU the process may
-run on, and the caller combines the tiles' terms in tile order, so every
-result has the same bits for any CPU count; a smaller one runs in the
-caller's thread and makes no pool.  The multiplier of the conservation
+and the triangle; ``_minus_xi`` forms xi = r2/delta^2, inf where it
+overflows while r2 does not, and ``_times_exp`` takes the e^-xi terms as
+0 past xi = 708.  ``_tiles`` is the one dispatch of their tiles: a
+traversal of more than ``_TILE`` pair entries in total runs them on the
+caller's thread and a pool of ``_WORKERS`` - 1 threads, one per further
+CPU the process may run on, and the caller combines the tiles' terms in
+tile order, so every result has the same bits for any CPU count; a
+smaller one runs in the caller's thread and makes no pool.  The multiplier of the conservation
 laws is built from a vector field by ``multiplier``.  Every per-order
 polynomial is evaluated by :func:`vortexblob.expint._horner`, the
 package's one Horner, which E1's table also uses.
@@ -112,6 +113,26 @@ def _times_exp(coef, minus_xi):
     return np.where(far, 0.0, _horner(-minus_xi, coef) * np.exp(minus_xi))
 
 
+def _minus_xi(r2, delta):
+    """-xi = r2/-delta^2 of the finite squared distances r2, and the mask of its entries that overflow to -inf, or None where none does.
+
+    The one place xi is formed from r2.  At delta >= 1 no entry can
+    overflow, and the quotient is all it costs; below, an overflow is caught
+    by np.errstate, with no RuntimeWarning.  -inf lies past xi = 708, where
+    _times_exp takes every e^-xi term as 0.
+    """
+    d2 = delta**2
+    if d2 >= 1.0:
+        return r2 / -d2, None
+    try:
+        with np.errstate(over="raise"):
+            return r2 / -d2, None
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            minus_xi = r2 / -d2
+    return minus_xi, np.isinf(minus_xi)
+
+
 def cutoff(m, r2, delta):
     """Smoothing cutoff C(r2) = 1 - Q(r2/delta^2) exp(-r2/delta^2).
 
@@ -119,7 +140,7 @@ def cutoff(m, r2, delta):
     r2/delta^2 = 708, where Q exp(-xi) is below half an ulp of 1.
     """
     _check_order(m)
-    return 1.0 - _times_exp(ORDER_POLYNOMIALS[m].q, np.asarray(r2, dtype=float) / -(delta**2))
+    return 1.0 - _times_exp(ORDER_POLYNOMIALS[m].q, _minus_xi(np.asarray(r2, dtype=float), delta)[0])
 
 
 def cutoff_over_r2(m, r2, delta):
@@ -146,9 +167,10 @@ def _cutoff_over_r2(m, r2, delta, zero):
     division needs no mask, and then its limit 1: on a 64 x 316 band block
     of the 316-vortex grid the division took 33 us with the mask where=xi > 0
     and 15 us without.  The second term is _times_exp's, 0 past xi = 708,
-    where it is below half an ulp of the first.
+    where it is below half an ulp of the first.  Where xi overflows, C = 1
+    and the entry is 1/r2.
     """
-    minus_xi = r2 / -(delta**2)
+    minus_xi, huge = _minus_xi(r2, delta)
     s = _CUTOFF_S[m]
     tail = _times_exp(s, minus_xi) if s else None
     if zero is not None:
@@ -160,6 +182,8 @@ def _cutoff_over_r2(m, r2, delta, zero):
     if tail is not None:
         out += tail
     out /= delta**2
+    if huge is not None:
+        out[huge] = 1.0 / r2[huge]
     return out
 
 
@@ -585,7 +609,7 @@ def blob_vorticity(system, state, z):
     out = np.empty(points.shape[1])
 
     def tile(rows, d, r2, zero):
-        zeta = _times_exp(ORDER_POLYNOMIALS[system.m].p, r2 / -(system.delta**2)) / system.delta**2
+        zeta = _times_exp(ORDER_POLYNOMIALS[system.m].p, _minus_xi(r2, system.delta)[0]) / system.delta**2
         out[rows] = (zeta * system.kappa[None, :]).sum(axis=1)
 
     _point_blocks(system, state, points, tile)
@@ -605,10 +629,16 @@ def potential_tail(m, xi, e=None):
 
 
 def pair_potential(m, r2, delta):
-    """Interaction potential V(r2) = log |r2| + W(xi), xi = r2/delta^2, W the potential_tail."""
+    """Interaction potential V(r2) = log |r2| + W(xi), xi = r2/delta^2, W the potential_tail.
+
+    W is 0 where xi overflows: E1 is 0 past 34 and e^-xi past 746.
+    """
     _check_order(m)
     r2 = np.asarray(r2, dtype=float)
-    return np.log(np.abs(r2)) + potential_tail(m, r2 / delta**2)
+    minus_xi, huge = _minus_xi(r2, delta)
+    if huge is not None:
+        return np.log(np.abs(r2)) + np.where(huge, 0.0, potential_tail(m, np.where(huge, 1.0, -minus_xi)))
+    return np.log(np.abs(r2)) + potential_tail(m, -minus_xi)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -347,14 +347,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("method", ["imm", "dmm"])
     def test_overflowing_iterate_is_solver_failure(self, method, tmp_path, capsys):
-        # the second iterate's r2 overflows where it is formed, with no warning:
-        # a solver failure, not a domain error
+        # the RM2 start's stage r2 overflows where it is formed, with no
+        # warning: a solver failure of iterate 1, not a domain error
         code = main(["simulate", "--random-vortices", "3", "--tau", "1e200", "--method", method,
                      "--out", str(tmp_path / "overflow")])
         assert code == EXIT_SOLVER
         err = capsys.readouterr().err
         assert err.startswith("solver failure: step 1: ")
-        assert "iterate 2 is outside the field's domain" in err
+        assert "iterate 1 is outside the field's domain" in err
 
     @pytest.mark.parametrize("error, message", [
         (PairDegeneracyError(0, 1), "degeneracy error:"),

@@ -1,5 +1,7 @@
 """Conservative one-step scheme: divided-difference factor and step solver."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from vortexblob.conservative import (
 )
 from vortexblob.errors import DomainError, PairDegeneracyError, SolverFailureError
 from vortexblob.expint import exp_integral_e1
-from vortexblob.integrators import DEFAULT_SOLVER, SolverConfig, _fixed_point, dmm_step, integrate
+from vortexblob.integrators import DEFAULT_SOLVER, SolverConfig, _fixed_point, dmm_step, integrate, rm2_step
 from vortexblob.model import ORDER_POLYNOMIALS, BlobSystem, State, conserved, cutoff, pair_potential, rhs
 
 
@@ -204,6 +206,22 @@ class TestCTau:
         assert np.all(xi_k1 > xi_far)
         got = c_tau(m, xi_k, xi_k1)
         assert np.abs(got / mpmath_c_tau(mpmath, m, xi_k, xi_k1) - 1.0).max() <= 1e-15
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_far_pair_whose_distance_collapses_matches_mpmath(self, m):
+        # z = xi_k1/xi_k log-uniform on [1e-290, 0.5], so s = z - 1 from -0.5 to
+        # -1 in floats, xi_k1 above xi_far: log1p(s) once read 1 + s from s, and
+        # c_tau(2, 1e300, 41) was log(0)/-1 = inf with a divide-by-zero warning
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(80 + m)
+        xi_far = vortexblob.conservative._XI_FAR[m]
+        xi_k1 = xi_far * (1.0 + 1e-9) * (700.0 / xi_far) ** rng.random(300)
+        xi_k = xi_k1 * 10.0 ** rng.uniform(np.log10(2.0), 290.0, 300)
+        xi_k, xi_k1 = np.append(xi_k, 1e300), np.append(xi_k1, 41.0)
+        got = c_tau(m, xi_k, xi_k1)
+        assert np.abs(got / mpmath_c_tau(mpmath, m, xi_k, xi_k1) - 1.0).max() <= 1e-15
+        assert c_tau(m, 1e300, 41.0) == pytest.approx(math.log(4.1e-299) / -1.0, rel=1e-15)
 
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_far_pair_falling_to_threshold_takes_full_form(self, m, monkeypatch):
@@ -415,8 +433,8 @@ class TestDenseReference:
         for m in (2, 4, 6):
             system, prev, _ = random_pair(rng, 7, m=m)
             out = dmm_step(system, prev, 0.3)
-            ref = _fixed_point(prev, 0.3, DEFAULT_SOLVER, rhs(system, prev),
-                               lambda u: dmm_rhs(system, prev, State.from_xy(u)))
+            ref = _fixed_point(prev, 0.3, DEFAULT_SOLVER, lambda u: dmm_rhs(system, prev, State.from_xy(u)),
+                               rm2_step(system, prev, 0.3).xy)
             assert np.array_equal(out.next.x, ref.next.x)
             assert np.array_equal(out.next.y, ref.next.y)
             assert out.iterations == ref.iterations

@@ -203,20 +203,28 @@ class TestDriver:
         with pytest.raises(SolverFailureError) as exc:
             integrate(*self.blow_up_problem(), 1e200, 3, method)
         assert exc.value.step_index == 1
-        if method in ("imm", "dmm"):  # Picard starts at the finite start state: the first iterate overflows
+        if method in ("imm", "dmm"):  # the RM2 start's stage positions overflow: iterate 1 fails
             assert exc.value.iterations == 1
 
     def test_overflowing_dmm_iterate_is_solver_failure(self):
-        # the Euler step is finite, but the second iterate's r2 overflows inside
-        # f_tau, where the pair triangle forms it: an error, not a warning
+        # the RM2 start's second stage is finite, but its r2 overflows in rhs;
+        # given the finite Euler step as its guess, the first iterate's r2
+        # overflows inside f_tau, where the pair triangle forms it: each an
+        # error, not a warning
         rng = np.random.default_rng(0)
         system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=rng.uniform(-1.0, 1.0, 3))
         state = State(x=rng.uniform(-1.0, 1.0, 3), y=rng.uniform(-1.0, 1.0, 3))
         with pytest.raises(SolverFailureError) as exc:
             integrate(system, state, 1e200, 3, "dmm")
-        assert exc.value.iterations == 2 and exc.value.step_index == 1
+        assert exc.value.iterations == 1 and exc.value.step_index == 1
         assert isinstance(exc.value.__cause__, DomainError)
-        assert "iterate 2 is outside the field's domain: the squared distance of vortices" in str(exc.value)
+        assert "the RM2 start of iterate 1 is outside the field's domain: the squared distance of vortices" \
+            in str(exc.value)
+        assert np.isfinite(exc.value.last_state.x).all()
+        with pytest.raises(SolverFailureError) as exc:
+            dmm_step(system, state, 1e200, guess=state.xy + 1e200 * rhs(system, state))
+        assert exc.value.iterations == 1 and isinstance(exc.value.__cause__, DomainError)
+        assert str(exc.value).startswith("iterate 1 is outside the field's domain: the squared distance of vortices")
         assert np.isfinite(exc.value.last_state.x).all()
 
     def test_iterations_recorded_for_every_step(self):
@@ -226,21 +234,23 @@ class TestDriver:
 
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_first_iterate_is_euler_step(self, m):
+        # without a guess the first iterate is G of Ralston's RM2 step, which
+        # replaced the Euler step as the start: one max_iters = 1 iterate
+        # fails with G(rm2_step) as its last state, bit for bit
         rng = np.random.default_rng(m)
         system = BlobSystem(m=m, h=1.0, delta=1.0, kappa=rng.uniform(-1.0, 1.0, 5))
         state = State(x=rng.uniform(-1.0, 1.0, 5), y=rng.uniform(-1.0, 1.0, 5))
-        fx, fy = rhs(system, state)
-        euler_x, euler_y = state.x + 0.3 * fx, state.y + 0.3 * fy
+        start = rm2_step(system, state, 0.3).xy
         one_iterate = SolverConfig(max_iters=1)
         with pytest.raises(SolverFailureError) as imm:
             imm_step(system, state, 0.3, solver=one_iterate)
-        assert np.array_equal(imm.value.last_state.x, euler_x)
-        assert np.array_equal(imm.value.last_state.y, euler_y)
-        # dmm's Euler iterate takes rhs too, not f_tau(state, state) over the pair triangle
+        want = state.xy + 0.3 * rhs(system, 0.5 * (state.xy + start))
+        assert np.array_equal(imm.value.last_state.xy, want)
+        # dmm's start takes rhs twice, not f_tau(state, state) over the pair triangle
         with pytest.raises(SolverFailureError) as dmm:
             dmm_step(system, state, 0.3, solver=one_iterate)
-        assert np.array_equal(dmm.value.last_state.x, euler_x)
-        assert np.array_equal(dmm.value.last_state.y, euler_y)
+        want = state.xy + 0.3 * PrevLevel(system, state).field(start)
+        assert np.array_equal(dmm.value.last_state.xy, want)
 
     def test_dmm_driver_conserves_ring_invariants(self):
         system, state = four_vortex_ring(6)
@@ -249,11 +259,11 @@ class TestDriver:
 
 
 def plain_picard(system, state, tau, field_at, solver=DEFAULT_SOLVER):
-    """u = state.xy + tau * field_at(u) by unmixed Picard from the Euler step: (x, y), iterates, update ratios."""
-    u0 = u = state.xy
+    """u = state.xy + tau * field_at(u) by unmixed Picard from the RM2 step: (x, y), iterates, update ratios."""
+    u0, u = state.xy, rm2_step(system, state, tau).xy
     updates = []
     for iteration in range(1, solver.max_iters + 1):
-        g = u0 + tau * (rhs(system, state) if iteration == 1 else field_at(u))
+        g = u0 + tau * field_at(u)
         updates.append(float(np.abs(g - u).max()))
         u = g
         if updates[-1] <= solver.threshold(state):
@@ -268,7 +278,7 @@ class TestAndersonMixing:
         (x, y), plain_iters, ratios = plain_picard(system, state, 1.0, PrevLevel(system, state).field)
         assert max(ratios) > vortexblob.integrators._RHO_MIX
         out = dmm_step(system, state, 1.0)
-        assert (plain_iters, out.iterations) == (17, 13)
+        assert (plain_iters, out.iterations) == (14, 12)  # from the Euler step: 17 and 13
         tol = 10 * DEFAULT_SOLVER.threshold(state)
         assert np.abs(out.next.x - x).max() <= tol and np.abs(out.next.y - y).max() <= tol
         drift = conserved(system, out.next).as_array() - conserved(system, state).as_array()
@@ -313,7 +323,7 @@ class TestAndersonMixing:
             x, y = u
             return np.array((a[0, 0] * x + a[0, 1] * y, a[1, 0] * x + a[1, 1] * y))
 
-        out = vortexblob.integrators._fixed_point(state, 1.0, DEFAULT_SOLVER, field_at(state.xy), field_at)
+        out = vortexblob.integrators._fixed_point(state, 1.0, DEFAULT_SOLVER, field_at, state.xy)
         assert [g.tolist() for g in singular] == [[[2.0**-9, 0.0], [0.0, 0.0]]]
         # the fixed point of x = x0 + a x is (2, -2); Picard alone takes 375 iterates
         assert (out.next.x.tolist(), out.next.y.tolist(), out.iterations) == ([2.0], [-2.0], 6)
@@ -390,21 +400,36 @@ class TestAdvance:
         assert np.array_equal(got.last_state.x, want.last_state.x)
 
 
+def fresh_start_loop(system, state, tau, n_steps, method):
+    """n_steps of the implicit step without a guess, each from the RM2 start: the final state."""
+    step = getattr(vortexblob.integrators, f"{method}_step")
+    for _ in range(n_steps):
+        state = step(system, state, tau).next
+    return state
+
+
 def euler_start_loop(system, state, tau, n_steps, method):
-    """n_steps of the implicit step without a guess: (final state, total iterates)."""
+    """n_steps of the implicit step from the explicit Euler step: (final state, total iterates).
+
+    The Euler step was each step's first iterate before the RM2 start; given
+    as the guess, it is the iterate before the step's first, so each step
+    counts one iterate more.
+    """
     step = getattr(vortexblob.integrators, f"{method}_step")
     iterations = 0
     for _ in range(n_steps):
-        out = step(system, state, tau)
-        state, iterations = out.next, iterations + out.iterations
+        out = step(system, state, tau, guess=state.xy + tau * rhs(system, state))
+        state, iterations = out.next, iterations + out.iterations + 1
     return state, iterations
 
 
 class TestWarmStart:
     @pytest.mark.parametrize("method", ["imm", "dmm"])
     def test_first_two_steps_start_from_euler(self, method):
+        # no accepted positions to extrapolate yet: steps 1 and 2 take the RM2
+        # start, which replaced the Euler step, as a step given no guess does
         system, state = random_system(4, 6, 3)
-        want, _ = euler_start_loop(system, state, 0.3, 2, method)
+        want = fresh_start_loop(system, state, 0.3, 2, method)
         for got in (advance(system, state, 0.3, 2, method), integrate(system, state, 0.3, 2, method)[1]):
             assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
 
@@ -436,7 +461,9 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("method", ["imm", "dmm"])
     def test_final_states_match_the_euler_start(self, method):
-        # M = 3 systems at tau = 1, as the timing experiment runs them, and the ring
+        # M = 3 systems at tau = 1, as the timing experiment runs them, and the
+        # ring: the run loop's starts, RM2 and then the extrapolated guess, reach
+        # the Euler start's final states in no more iterates
         cases = [(random_system(2, 3, seed), 1.0) for seed in range(16)]
         cases += [(four_vortex_ring(m), 0.25) for m in (2, 4, 6)]
         for (system, state), tau in cases:
@@ -444,6 +471,16 @@ class TestWarmStart:
             record, got = integrate(system, state, tau, 20, method)
             assert np.abs(got.x - want.x).max() <= 1e-10 and np.abs(got.y - want.y).max() <= 1e-10
             assert sum(record.iterations) <= euler_iterations
+
+    def test_rm2_start_saves_an_f_tau(self):
+        # a fresh dmm step on the 812-vortex grid at tau = 0.001 took 4 iterates
+        # from the Euler step, and steps 1 and 2 on the 316-vortex grid at
+        # tau = 1 took 14 each
+        system, state = init_grid(32, p=3, q=0.75, m=4, prune_zero=True)
+        assert dmm_step(system, state, 0.001).iterations == 2
+        system, state = init_grid(20, p=3, q=0.75, m=4, prune_zero=True)
+        record, _ = integrate(system, state, 1.0, 2, "dmm")
+        assert max(record.iterations) <= 12
 
     @pytest.mark.parametrize("method", ["imm", "dmm"])
     def test_converged_guess_takes_one_iterate(self, method):
@@ -456,7 +493,8 @@ class TestWarmStart:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_extrapolation_falls_back_to_euler(self, monkeypatch):
-        # accepted positions of +-1e308 are finite, but 3 x_2 - 3 x_1 + x_0 overflows
+        # accepted positions of +-1e308 are finite, but 3 x_2 - 3 x_1 + x_0
+        # overflows: no guess, so each step takes the RM2 start
         system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=[1.0, -1.0])
         guesses = []
 

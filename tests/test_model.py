@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import vortexblob.model
 from vortexblob.conservative import dmm_rhs
 from vortexblob.errors import ConfigurationError, DomainError, PairDegeneracyError, SolverFailureError
-from vortexblob.integrators import integrate
+from vortexblob.integrators import imm_step, integrate
 from vortexblob.model import (
     ORDER_POLYNOMIALS,
     SUPPORTED_ORDERS,
@@ -475,14 +475,37 @@ class TestBand:
         state = State(x=state.x + np.repeat([0.0, 30.0], 4), y=state.y)
         self.assert_close(np.concatenate(rhs(system, state)), self.direct(system, state))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_overflowing_xi_takes_the_far_field(self, m):
+        # r2 = 1e308 is finite, but xi = r2/delta^2 = 4e308 overflows: past every
+        # e^-xi term, where C(r2)/r2 = 1/r2 and W = 0.  Each of the five once
+        # warned "overflow encountered in divide" or raised a DomainError for E1
+        system = BlobSystem(m=m, h=1.0, delta=0.5, kappa=[1.0, 1.0])
+        state = State(x=[0.0, 1e154], y=[0.0, 0.0])
+        far = 1.0 / (2.0 * np.pi * 1e154)  # kappa/(2 pi) |d|/r2
+        want = np.array([[0.0, 0.0], [-far, far]])
+        np.testing.assert_allclose(rhs(system, state), want, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(dmm_rhs(system, state, state), want, rtol=1e-14, atol=0.0)
+        # the point on vortex 0 takes vortex 1's far term only, and vortex 0's core
+        np.testing.assert_allclose(velocity_field(system, state, [0.0, 0.0]), [0.0, -far], rtol=1e-14, atol=0.0)
+        assert blob_vorticity(system, state, [0.0, 0.0]) == ORDER_POLYNOMIALS[m].p[0] / 0.25
+        ham = conserved(system, state).ham
+        assert ham == pytest.approx(-math.log(1e308) / (4.0 * np.pi), rel=1e-15)
+
     def test_overflowing_imm_iterate_stops_at_once(self):
-        # the Euler step is finite; the second iterate's midpoint overflows r2 in rhs
+        # the RM2 start's second stage is finite, and its r2 overflows in rhs;
+        # given the finite Euler step as its guess, the first iterate's
+        # midpoint overflows r2 in rhs
         rng = np.random.default_rng(0)
         system = BlobSystem(m=2, h=1.0, delta=1.0, kappa=rng.uniform(-1.0, 1.0, 3))
         state = State(x=rng.uniform(-1.0, 1.0, 3), y=rng.uniform(-1.0, 1.0, 3))
         with pytest.raises(SolverFailureError) as exc:
             integrate(system, state, 1e200, 3, "imm")
-        assert exc.value.iterations == 2 and exc.value.step_index == 1
+        assert exc.value.iterations == 1 and exc.value.step_index == 1
+        assert isinstance(exc.value.__cause__, DomainError)
+        with pytest.raises(SolverFailureError, match="^iterate 1 is outside the field's domain") as exc:
+            imm_step(system, state, 1e200, guess=state.xy + 1e200 * rhs(system, state))
         assert isinstance(exc.value.__cause__, DomainError)
 
 

@@ -253,8 +253,15 @@ def test_tiles_see_the_callers_errstate(small_tiles, monkeypatch):
     system, state = system_and_state()
     original = vortexblob.model._cutoff_over_r2
     seen = []
+    caller, callers_tile = threading.get_ident(), threading.Event()
 
     def wrapper(*args):
+        # a pool tile waits until the caller runs a tile of its own, which it
+        # does while the first tile in order is not done: so both threads run
+        if threading.get_ident() == caller:
+            callers_tile.set()
+        else:
+            callers_tile.wait(timeout=10.0)
         seen.append((threading.get_ident(), np.geterr()))
         return original(*args)
 
