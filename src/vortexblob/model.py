@@ -116,10 +116,11 @@ def _times_exp(coef, minus_xi):
 def _minus_xi(r2, delta):
     """-xi = r2/-delta^2 of the finite squared distances r2, and the mask of its entries that overflow to -inf, or None where none does.
 
-    The one place xi is formed from r2.  At delta >= 1 no entry can
-    overflow, and the quotient is all it costs; below, an overflow is caught
-    by np.errstate, with no RuntimeWarning.  -inf lies past xi = 708, where
-    _times_exp takes every e^-xi term as 0.
+    The one place the fields, conserved and the prev level form xi (f_tau
+    forms a cand xi only for pairs near xi_far).  At delta >= 1 no entry
+    can overflow, and the quotient is all it costs; below, an overflow is
+    caught by np.errstate, with no RuntimeWarning.  -inf lies past
+    xi = 708, where _times_exp takes every e^-xi term as 0.
     """
     d2 = delta**2
     if d2 >= 1.0:
