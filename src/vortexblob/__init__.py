@@ -16,7 +16,6 @@ The package provides:
 """
 
 from .conservative import (
-    CTauParams,
     c_tau,
     c_tau_closed,
     c_tau_taylor,
@@ -61,7 +60,6 @@ from .model import (
 )
 from .reference import (
     OrderFit,
-    QuadratureRule,
     exact_conserved_integrals,
     exact_velocity,
     fit_order,
@@ -74,14 +72,12 @@ from .reference import (
 
 __all__ = [
     "BlobSystem",
-    "CTauParams",
     "ConfigurationError",
     "ConservedSet",
     "DomainError",
     "METHODS",
     "OrderFit",
     "PairDegeneracyError",
-    "QuadratureRule",
     "RunRecord",
     "SolverConfig",
     "SolverFailureError",

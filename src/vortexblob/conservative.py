@@ -95,9 +95,9 @@ def _taylor_form(m, xi_k, e_k, s):
     return c0 + c1 * s / 2.0 + c2 * s**2 / 6.0
 
 
-def _closed_form(m, w_k, xi_k1, z, s):
-    """c_tau_closed from w_k = W(xi_k), z = xi_k1/xi_k and s = z - 1; each level's W forms its own exp(-xi)."""
-    return (np.log(np.abs(z)) + potential_tail(m, xi_k1) - w_k) / s
+def _closed_form(m, w_k, xi_k1, log_z, s):
+    """c_tau_closed from w_k = W(xi_k), log z, z = xi_k1/xi_k, and s = z - 1; each level's W forms its own exp(-xi)."""
+    return (log_z + potential_tail(m, xi_k1) - w_k) / s
 
 
 def _band(xi_k):
@@ -105,13 +105,17 @@ def _band(xi_k):
     return np.clip(xi_k, DEFAULT_CTAU.epsilon_switch, 2.0) / 2.0
 
 
-@np.errstate(over="raise")
+@np.errstate(over="raise", under="raise")
 def _quotient(a, b, name):
-    """a / b; an overflow raises DomainError, "{name} overflows", caught by errstate as model._differences does."""
+    """a / b and whether it underflows; an overflow raises DomainError, "{name} overflows", caught by errstate as model._differences does."""
     try:
-        return a / b
+        return a / b, False
     except FloatingPointError:
-        raise DomainError(f"{name} overflows") from None
+        with np.errstate(over="ignore", under="ignore"):
+            q = a / b
+    if np.isinf(q).any():
+        raise DomainError(f"{name} overflows")
+    return q, True
 
 
 def _c_tau(m, xi_k, e_k, w_k, band, xi_k1):
@@ -123,21 +127,23 @@ def _c_tau(m, xi_k, e_k, w_k, band, xi_k1):
     closed form on every pair, with s = 1 at the Taylor pairs so that z = 1
     never divides 0 by 0, and then the Taylor form on the Taylor pairs
     alone, picked by index: that costs less than copying the closed pairs
-    out by boolean mask.  A z that overflows raises DomainError.
+    out by boolean mask.  A z that overflows raises DomainError; where z
+    underflows, log z is taken as log xi_k1 - log xi_k.
     """
-    z = _quotient(xi_k1, xi_k, "the ratio z of the squared distances")
+    z, tiny = _quotient(xi_k1, xi_k, "the ratio z of the squared distances")
     s = z - 1.0
     near = np.abs(s) * band <= DEFAULT_CTAU.epsilon_switch
     if near.all():
         return _taylor_form(m, xi_k, e_k, s)
     if w_k is None:
         w_k = potential_tail(m, xi_k, e_k)
+    log_z = np.log(xi_k1) - np.log(xi_k) if tiny else np.log(np.abs(z))
     if not near.any():
-        return _closed_form(m, w_k, xi_k1, z, s)
+        return _closed_form(m, w_k, xi_k1, log_z, s)
     idx = np.flatnonzero(near)
     s_near = s[idx]
     s[idx] = 1.0
-    out = _closed_form(m, w_k, xi_k1, z, s)
+    out = _closed_form(m, w_k, xi_k1, log_z, s)
     out[idx] = _taylor_form(m, xi_k[idx], e_k[idx], s_near)
     return out
 
@@ -181,11 +187,13 @@ def _far_form(m, r2_k, r2_k1, d2):
     that the log and its divisor see one s, and 1 where s == 0; an s that
     overflows raises DomainError.  Where s < _S_SHRINK, the squared distance
     more than halves, it is the closed form log(z)/s, which takes
-    z = r2_k1/r2_k whole; only a chunk whose smallest s lies there pays
-    for the mask.  The pairs with either level's xi = r2/d2 at _XI_FAR[m] or
-    below take the full _c_tau instead.
+    z = r2_k1/r2_k whole, or log z = log r2_k1 - log r2_k where z
+    underflows; only a chunk whose smallest s lies there pays for the mask.
+    The pairs with either level's xi = r2/d2 at _XI_FAR[m] or below take
+    the full _c_tau instead, or where xi_k passes the floats (d2 < 1) the
+    closed form with W(xi_k) = 0 and log z = log r2_k1 - log r2_k.
     """
-    s = _quotient(r2_k1 - r2_k, r2_k, "the relative change s of a squared distance")
+    s, _ = _quotient(r2_k1 - r2_k, r2_k, "the relative change s of a squared distance")
     back = np.flatnonzero(np.minimum(r2_k, r2_k1) <= _XI_FAR[m] * d2)
     s[back] = 0.0  # replaced below
     shrunk = np.flatnonzero(s < _S_SHRINK) if s.min(initial=0.0) < _S_SHRINK else None
@@ -194,10 +202,18 @@ def _far_form(m, r2_k, r2_k1, d2):
         s[shrunk] = 0.0  # replaced below: so log1p never sees an s rounded to -1
     out = np.divide(np.log1p(s), s, out=np.ones_like(s), where=s != 0.0)
     if shrunk is not None:
-        out[shrunk] = np.log(r2_k1[shrunk] / r2_k[shrunk]) / s_shrunk
+        a, b = r2_k[shrunk], r2_k1[shrunk]
+        z, tiny = _quotient(b, a, "the ratio z of the squared distances")
+        out[shrunk] = (np.log(b) - np.log(a) if tiny else np.log(z)) / s_shrunk
     if back.size:
-        xi_k = r2_k[back] / d2
-        out[back] = _c_tau(m, xi_k, np.exp(-xi_k), None, _band(xi_k), r2_k1[back] / d2)
+        minus_xi_k, huge = _minus_xi(r2_k[back], d2)
+        if huge is not None:  # xi_k past the floats: a stand-in, replaced below
+            minus_xi_k[huge] = -1.0
+        xi_k, xi_k1 = -minus_xi_k, r2_k1[back] / d2
+        out[back] = _c_tau(m, xi_k, np.exp(minus_xi_k), None, _band(xi_k), xi_k1)
+        if huge is not None:
+            a, b = r2_k[back[huge]], r2_k1[back[huge]]
+            out[back[huge]] = _closed_form(m, 0.0, xi_k1[huge], np.log(b) - np.log(a), b / a - 1.0)
     return out
 
 
@@ -222,7 +238,7 @@ def c_tau_closed(m, xi_k, xi_k1):
     xi_k = np.asarray(xi_k, dtype=float)
     xi_k1 = np.asarray(xi_k1, dtype=float)
     z = xi_k1 / xi_k
-    return _closed_form(m, potential_tail(m, xi_k), xi_k1, z, z - 1.0)
+    return _closed_form(m, potential_tail(m, xi_k), xi_k1, np.log(np.abs(z)), z - 1.0)
 
 
 def c_tau(m, xi_k, xi_k1):
@@ -271,7 +287,7 @@ def _prev_parts(system, prev, keep_i, chunk):
     """
     i, j = chunk
     d, r2, zero = pair_differences(system, prev.xy, i, j)
-    minus_xi, _ = _minus_xi(r2, system.delta)  # -inf where xi overflows: far
+    minus_xi, _ = _minus_xi(r2, system.delta**2)  # -inf where xi overflows: far
     far = minus_xi < -_XI_FAR[system.m]
     near = ~far if zero is None else ~(far | zero)
     parts = []
@@ -364,7 +380,7 @@ class PrevLevel:
             if isinstance(p, _FarPairs):
                 w = _far_form(system.m, p.r2, r2, self.d2)
             else:
-                w = _c_tau(system.m, p.r2 / self.d2, p.e, p.w, p.band, _quotient(r2, self.d2, "the cand xi = r2/d2"))
+                w = _c_tau(system.m, p.r2 / self.d2, p.e, p.w, p.band, _quotient(r2, self.d2, "the cand xi = r2/d2")[0])
             w /= p.r2
             if zero is not None:
                 w[zero] = 0.0

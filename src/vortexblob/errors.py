@@ -20,10 +20,10 @@ class PairDegeneracyError(VortexBlobError):
     collided instead of silently skipping the interaction.
     """
 
-    def __init__(self, i, j, message=None):
+    def __init__(self, i, j):
         self.i = int(i)
         self.j = int(j)
-        super().__init__(message or f"vortices {i} and {j} coincide with nonzero strengths")
+        super().__init__(f"vortices {i} and {j} coincide with nonzero strengths")
 
 
 class SolverFailureError(VortexBlobError):

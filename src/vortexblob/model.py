@@ -25,7 +25,7 @@ scheme's f_tau), each of which leaves out the zero-distance pairs of a
 zero-strength vortex by the mask ``zero`` of ``pair_differences``.  The
 three share one kernel of each pair mechanism: ``_differences`` forms
 every difference, of positions turned a quarter turn, and r2, and raises
-DomainError naming the pair whose r2 overflows; ``_zeros`` raises
+DomainError naming the pair whose r2 is outside the domain; ``_zeros`` raises
 PairDegeneracyError on coincident strength-bearing vortices in the band
 and the triangle; ``_minus_xi`` forms xi = r2/delta^2, inf where it
 overflows while r2 does not, and ``_times_exp`` takes the e^-xi terms as
@@ -38,6 +38,15 @@ smaller one runs in the caller's thread and makes no pool.  The multiplier of th
 laws is built from a vector field by ``multiplier``.  Every per-order
 polynomial is evaluated by :func:`vortexblob.expint._horner`, the
 package's one Horner, which E1's table also uses.
+
+The domain: every squared distance r2 is a float, and so is xi = r2/delta^2
+of every nonzero r2, with xi > 0.  An r2 that overflows raises DomainError,
+and so, at delta > 1, does a nonzero r2 whose xi underflows to 0, where
+log xi of the pair potential and f_tau is no float; the error names the
+pair, or the point and the vortex, and in the kernels ``cutoff``,
+``cutoff_over_r2`` and ``pair_potential`` the r2.  Only delta > 1 can round
+a nonzero r2 to xi = 0, so only there is it checked.  An xi that overflows
+while r2 does not (delta < 1) is inside: every e^-xi term is 0 there.
 """
 
 from __future__ import annotations
@@ -86,18 +95,6 @@ def _check_order(m):
         raise ConfigurationError(f"unsupported method order m={m}; expected one of {SUPPORTED_ORDERS}")
 
 
-def q_polynomial(m, r):
-    """Q polynomial of order m evaluated at r >= 0, shaped like r."""
-    _check_order(m)
-    return _horner(np.asarray(r, dtype=float), ORDER_POLYNOMIALS[m].q) + np.zeros(np.shape(r))
-
-
-def p_polynomial(m, r):
-    """Vorticity-shape polynomial P of order m evaluated at r >= 0, shaped like r."""
-    _check_order(m)
-    return _horner(np.asarray(r, dtype=float), ORDER_POLYNOMIALS[m].p) + np.zeros(np.shape(r))
-
-
 def _times_exp(coef, minus_xi):
     """The polynomial coef at xi times exp(-xi), from the float array minus_xi = -xi, taken as 0 past xi = 708.
 
@@ -113,16 +110,30 @@ def _times_exp(coef, minus_xi):
     return np.where(far, 0.0, _horner(-minus_xi, coef) * np.exp(minus_xi))
 
 
-def _minus_xi(r2, delta):
-    """-xi = r2/-delta^2 of the finite squared distances r2, and the mask of its entries that overflow to -inf, or None where none does.
+def _xi_underflows(r2, delta):
+    """The mask of the nonzero entries of r2 whose xi = r2/delta^2 rounds to 0, which only delta > 1 allows."""
+    return (r2 / delta**2 == 0.0) & (r2 != 0.0)
+
+
+def _kernel_r2(m, r2, delta):
+    """r2 as a float array for a kernel of order m: one whose xi = r2/delta^2 underflows to 0 raises DomainError."""
+    _check_order(m)
+    r2 = np.asarray(r2, dtype=float)
+    if delta > 1.0 and (bad := _xi_underflows(r2, delta)).any():
+        raise DomainError(f"xi = r2/delta^2 of r2 = {float(r2[bad][0])!r} underflows to 0")
+    return r2
+
+
+def _minus_xi(r2, d2):
+    """-xi = r2/-d2 of the finite squared distances r2 at d2 = delta^2, and the mask of its entries that overflow to -inf, or None where none does.
 
     The one place the fields, conserved and the prev level form xi (f_tau
-    forms a cand xi only for pairs near xi_far).  At delta >= 1 no entry
-    can overflow, and the quotient is all it costs; below, an overflow is
-    caught by np.errstate, with no RuntimeWarning.  -inf lies past
-    xi = 708, where _times_exp takes every e^-xi term as 0.
+    forms a cand xi only for pairs near xi_far), and where f_tau's far form
+    sends a pair back, its prev xi.  At d2 >= 1 no entry can overflow, and
+    the quotient is all it costs; below, an overflow is caught by
+    np.errstate, with no RuntimeWarning.  -inf lies past xi = 708, where
+    _times_exp takes every e^-xi term as 0.
     """
-    d2 = delta**2
     if d2 >= 1.0:
         return r2 / -d2, None
     try:
@@ -140,8 +151,8 @@ def cutoff(m, r2, delta):
     Vanishes at r2 = 0 and tends to 1 as r2/delta^2 grows; it is 1 past
     r2/delta^2 = 708, where Q exp(-xi) is below half an ulp of 1.
     """
-    _check_order(m)
-    return 1.0 - _times_exp(ORDER_POLYNOMIALS[m].q, _minus_xi(np.asarray(r2, dtype=float), delta)[0])
+    r2 = _kernel_r2(m, r2, delta)
+    return 1.0 - _times_exp(ORDER_POLYNOMIALS[m].q, _minus_xi(r2, delta**2)[0])
 
 
 def cutoff_over_r2(m, r2, delta):
@@ -152,8 +163,7 @@ def cutoff_over_r2(m, r2, delta):
     evaluated without cancellation, and the first tends to 1 at xi = 0,
     which the entries r2 = 0 take.
     """
-    _check_order(m)
-    r2 = np.asarray(r2, dtype=float)
+    r2 = _kernel_r2(m, r2, delta)
     flat = r2.reshape(-1)
     out = _cutoff_over_r2(m, flat, delta, flat == 0.0)
     return float(out[0]) if r2.ndim == 0 else out.reshape(r2.shape)
@@ -171,7 +181,8 @@ def _cutoff_over_r2(m, r2, delta, zero):
     where it is below half an ulp of the first.  Where xi overflows, C = 1
     and the entry is 1/r2.
     """
-    minus_xi, huge = _minus_xi(r2, delta)
+    d2 = delta**2
+    minus_xi, huge = _minus_xi(r2, d2)
     s = _CUTOFF_S[m]
     tail = _times_exp(s, minus_xi) if s else None
     if zero is not None:
@@ -182,15 +193,18 @@ def _cutoff_over_r2(m, r2, delta, zero):
         out.reshape(-1)[zero] = 1.0
     if tail is not None:
         out += tail
-    out /= delta**2
+    out /= d2
     if huge is not None:
         out[huge] = 1.0 / r2[huge]
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlobSystem:
-    """Static problem data for one vortex-blob system; h, delta and the float delta * delta are positive and finite."""
+    """Static problem data for one vortex-blob system; h, delta and the float delta * delta are positive and finite.
+
+    Compares and hashes by identity, as State does: its kappa is an array.
+    """
 
     m: int
     h: float
@@ -211,14 +225,15 @@ class BlobSystem:
         return self.kappa.size
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class State:
     """Vortex positions at one instant: the (2, M) float array xy, whose rows are x and y.
 
     Every State checks that its positions are finite when it is built, by
     State(x=..., y=..., t=...) from two 1-d arrays of equal length or by
     from_xy.  A step builds one, the state it returns; its stages and
-    iterates stay (2, M) arrays that the step has checked itself.
+    iterates stay (2, M) arrays that the step has checked itself.  A State
+    compares and hashes by identity.
     """
 
     xy: np.ndarray
@@ -406,23 +421,27 @@ def _tiles(work, items, entries, combine=None):
 # M = 3 each iterate forms one block.  On a 64k-pair chunk each fresh 2 x 64k
 # temporary costs about 10%, so r2 is summed into d * d's first plane.
 @np.errstate(over="raise")
-def _differences(p, q, pair, names="vortices {} and {}", out=None):
+def _differences(p, q, pair, delta, names="vortices {} and {}", out=None):
     """d = p - q, into out if given, and r2, the sum of d * d over the leading axis: the one place r2 is formed.
 
-    pair = (i, j) indexes r2's axes, r2[k] the pair (i[k], j[k]) and r2[a, b] the pair (i[a], j[b]); an
-    r2 that overflows raises DomainError naming its first such pair by names.
+    pair = (i, j) indexes r2's axes, r2[k] the pair (i[k], j[k]) and r2[a, b] the pair (i[a], j[b]).
+    An r2 outside the domain (see the module docstring) raises DomainError naming its first such pair
+    by names: one that overflows, or at blob width delta > 1 one whose xi underflows to 0.
     """
     try:
         d = np.subtract(p, q, out=out)
         dd = d * d
         r2 = dd[0]
         r2 += dd[1]
-        return d, r2
+        if delta <= 1.0 or not (bad := _xi_underflows(r2, delta)).any():
+            return d, r2
+        what = "xi = r2/delta^2 of {} underflows to 0"
     except FloatingPointError:  # numpy writes a ufunc's whole output before it raises, so out holds d
         with np.errstate(over="ignore"):
             r2 = np.square(p - q if out is None else out).sum(axis=0)
-    k = np.unravel_index(np.flatnonzero(~np.isfinite(r2))[0], r2.shape)
-    raise DomainError(f"the squared distance of {names.format(pair[0][k[0]], pair[1][k[-1]])} overflows")
+        bad, what = ~np.isfinite(r2), "the squared distance of {} overflows"
+    k = np.unravel_index(np.flatnonzero(bad)[0], r2.shape)
+    raise DomainError(what.format(names.format(pair[0][k[0]], pair[1][k[-1]])))
 
 
 def _zeros(system, r2, i, j):
@@ -469,7 +488,7 @@ def _band_chunk(system, s, xy, vel, c):
     part = None
     for a in range(c, end, step):
         b = min(a + step, end)
-        d, r2 = _differences(xy[:, a:b, None], xy[:, None, c:], (range(a, b), range(c, n)))
+        d, r2 = _differences(xy[:, a:b, None], xy[:, None, c:], (range(a, b), range(c, n)), system.delta)
         zero = slice(a - c, None, n - c + 1)  # the diagonal
         if r2.size - np.count_nonzero(r2) > b - a:  # a zero off the diagonal
             zero = _zeros(system, r2, np.arange(a, b)[:, None], np.arange(c, n)).reshape(-1)
@@ -505,7 +524,7 @@ def _point_blocks(system, state, points, tile):
 
     def block(a):
         rows = slice(a, min(a + step, size))
-        d, r2 = _differences(pxy[:, rows, None], xy[:, None, :], (range(a, rows.stop), range(n)),
+        d, r2 = _differences(pxy[:, rows, None], xy[:, None, :], (range(a, rows.stop), range(n)), system.delta,
                              "point {} and vortex {}")
         tile(rows, d, r2, None if np.count_nonzero(r2) == r2.size else (r2 == 0.0).reshape(-1))
 
@@ -541,7 +560,7 @@ def pair_differences(system, xy, i, j):
     """
     xy = np.array((-xy[1], xy[0]))  # turned as _turned turns them
     p = xy.take(i, axis=1)
-    d, r2 = _differences(p, xy.take(j, axis=1), (i, j), out=p)
+    d, r2 = _differences(p, xy.take(j, axis=1), (i, j), system.delta, out=p)
     return d, r2, None if r2.all() else _zeros(system, r2, i, j)
 
 
@@ -610,7 +629,8 @@ def blob_vorticity(system, state, z):
     out = np.empty(points.shape[1])
 
     def tile(rows, d, r2, zero):
-        zeta = _times_exp(ORDER_POLYNOMIALS[system.m].p, _minus_xi(r2, system.delta)[0]) / system.delta**2
+        d2 = system.delta**2
+        zeta = _times_exp(ORDER_POLYNOMIALS[system.m].p, _minus_xi(r2, d2)[0]) / d2
         out[rows] = (zeta * system.kappa[None, :]).sum(axis=1)
 
     _point_blocks(system, state, points, tile)
@@ -634,9 +654,8 @@ def pair_potential(m, r2, delta):
 
     W is 0 where xi overflows: E1 is 0 past 34 and e^-xi past 746.
     """
-    _check_order(m)
-    r2 = np.asarray(r2, dtype=float)
-    minus_xi, huge = _minus_xi(r2, delta)
+    r2 = _kernel_r2(m, r2, delta)
+    minus_xi, huge = _minus_xi(r2, delta**2)
     if huge is not None:
         return np.log(np.abs(r2)) + np.where(huge, 0.0, potential_tail(m, np.where(huge, 1.0, -minus_xi)))
     return np.log(np.abs(r2)) + potential_tail(m, -minus_xi)
@@ -686,11 +705,6 @@ def multiplier(kappa, xy, f):
     """
     (x, y), (u, v), zero = xy, f, np.zeros_like(kappa)
     return np.block([[zero, kappa], [-kappa, zero], [-kappa * x, -kappa * y], [-kappa * v, kappa * u]])
-
-
-def multiplier_matrix(system, state):
-    """Continuous multiplier at a state; assembled only in verification paths."""
-    return multiplier(system.kappa, state.xy, rhs(system, state))
 
 
 def initial_vorticity(r, p=3):

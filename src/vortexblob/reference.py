@@ -67,56 +67,30 @@ _RADIAL_ORDER = 8
 _ANGULAR_NODES = 64
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Tensor rule on the disk r <= r_max in polar coordinates.
+def _disk_rule():
+    """Points (N, 2) and area weights (Jacobian r included) of a tensor rule on the unit disk in polar coordinates.
 
     Radial: composite Gauss-Legendre, _RADIAL_ORDER = 8 nodes on each of
     _RADIAL_PANELS = 16 panels (exact through degree 15); angular:
     _ANGULAR_NODES = 64 equispaced trapezoid nodes, spectrally accurate for
     periodic integrands.
     """
-
-    r_nodes: np.ndarray
-    r_weights: np.ndarray
-    theta_nodes: np.ndarray
-    theta_weights: np.ndarray
-    r_max: float
-
-    @classmethod
-    def polar(cls, r_max=1.0):
-        gx, gw = np.polynomial.legendre.leggauss(_RADIAL_ORDER)
-        edges = np.linspace(0.0, r_max, _RADIAL_PANELS + 1)
-        mid, half = 0.5 * (edges[:-1, None] + edges[1:, None]), 0.5 * (edges[1:, None] - edges[:-1, None])
-        return cls(
-            r_nodes=(mid + half * gx).ravel(),
-            r_weights=(half * gw).ravel(),
-            theta_nodes=2.0 * np.pi * np.arange(_ANGULAR_NODES) / _ANGULAR_NODES,
-            theta_weights=np.full(_ANGULAR_NODES, 2.0 * np.pi / _ANGULAR_NODES),
-            r_max=float(r_max),
-        )
-
-    def points_weights(self):
-        """Cartesian evaluation points and area weights (Jacobian r included)."""
-        r = self.r_nodes[:, None]
-        th = self.theta_nodes[None, :]
-        x = (r * np.cos(th)).ravel()
-        y = (r * np.sin(th)).ravel()
-        w = (self.r_weights[:, None] * self.r_nodes[:, None] * self.theta_weights[None, :]).ravel()
-        return np.column_stack([x, y]), w
-
-    def integrate_radial(self, f):
-        """Integral of f(r) dr over [0, r_max] (no Jacobian)."""
-        return float((self.r_weights * f(self.r_nodes)).sum())
+    gx, gw = np.polynomial.legendre.leggauss(_RADIAL_ORDER)
+    edges = np.linspace(0.0, 1.0, _RADIAL_PANELS + 1)
+    mid, half = 0.5 * (edges[:-1, None] + edges[1:, None]), 0.5 * (edges[1:, None] - edges[:-1, None])
+    r = (mid + half * gx).reshape(-1, 1)
+    th = 2.0 * np.pi * np.arange(_ANGULAR_NODES) / _ANGULAR_NODES
+    w = (half * gw).reshape(-1, 1) * r * np.full(_ANGULAR_NODES, 2.0 * np.pi / _ANGULAR_NODES)
+    return np.column_stack([(r * np.cos(th)).ravel(), (r * np.sin(th)).ravel()]), w.ravel()
 
 
 def spatial_error(system, state, p=3):
     """L2 error of the smoothed velocity field against the exact rotation.
 
-    Integrates |v_h - v|^2 over the unit disk with the default polar
-    tensor rule, QuadratureRule.polar().
+    Integrates |v_h - v|^2 over the unit disk with the polar tensor rule
+    _disk_rule.
     """
-    pts, w = QuadratureRule.polar().points_weights()
+    pts, w = _disk_rule()
     diff = velocity_field(system, state, pts) - exact_velocity(pts, p)
     return float(np.sqrt((w * (diff**2).sum(axis=1)).sum()))
 

@@ -223,6 +223,15 @@ class TestCTau:
         assert np.abs(got / mpmath_c_tau(mpmath, m, xi_k, xi_k1) - 1.0).max() <= 1e-15
         assert c_tau(m, 1e300, 41.0) == pytest.approx(math.log(4.1e-299) / -1.0, rel=1e-15)
 
+    @pytest.mark.parametrize("m, want", [(2, 461.09423426371067), (4, 462.09423426371067), (6, 462.59423426371067)])
+    def test_underflowing_ratio_matches_mpmath(self, m, want):
+        # z = xi_k1/xi_k = 1e-400 rounds to 0: log z was log(0), inf with a
+        # divide-by-zero warning, where log xi_k1 - log xi_k is due
+        mpmath = pytest.importorskip("mpmath")
+        got = c_tau(m, 1e200, 1e-200)
+        assert abs(got / mpmath_c_tau(mpmath, m, [1e200], [1e-200])[0] - 1.0) <= 1e-15
+        assert got == pytest.approx(want, rel=1e-15)
+
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_far_pair_falling_to_threshold_takes_full_form(self, m, monkeypatch):
         # a far pair whose xi_k1 falls to xi_far or just under goes back to the full
@@ -485,6 +494,44 @@ class TestStep:
             dmm_rhs(system, prev, cand)
         with pytest.raises(SolverFailureError, match="iterate 1 is outside the field's domain"):
             dmm_step(system, prev, 1.0, guess=cand.xy)
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_far_pair_past_the_floats_falling_back_is_finite(self, m):
+        # at delta = 0.5 the prev xi_k = 1e308/0.25 passes the floats, and the cand
+        # xi_k1 = 4 sends the pair back: its xi_k once overflowed with a warning,
+        # then met E1(inf).  Due: the closed form with z = r2_k1/r2_k, W(xi_k) = 0
+        mpmath = pytest.importorskip("mpmath")
+        system = BlobSystem(m=m, h=1.0, delta=0.5, kappa=[1.0, 1.0])
+        got = dmm_rhs(system, State(x=[0.0, 1e154], y=[0.0, 0.0]), State(x=[0.0, 1.0], y=[0.0, 0.0]))
+        with mpmath.workdps(40):
+            r = [mpmath.mpf(c) for c in ORDER_POLYNOMIALS[m].r[::-1]]
+            z, xi_k1 = mpmath.mpf(1) / mpmath.mpf(1e308), mpmath.mpf(4)
+            c = (mpmath.log(z) + mpmath.e1(xi_k1) + mpmath.polyval(r, xi_k1) * mpmath.exp(-xi_k1)) / (z - 1)
+            v = float(c / mpmath.mpf(1e308) * (mpmath.mpf(1e154) + 1) / (4 * mpmath.pi))  # c / r2_k, midpoint |d|
+        np.testing.assert_allclose(got, [[0.0, 0.0], [-v, v]], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_far_pair_collapsing_past_the_floats_is_finite(self, m):
+        # at delta = 1e-10 a pair 1e154 apart comes to 1e-8, both levels far:
+        # z = 1e-16/1e308 rounds to 0, and log(z)/s read log(0) with a warning
+        system = BlobSystem(m=m, h=1.0, delta=1e-10, kappa=[1.0, 1.0])
+        got = dmm_rhs(system, State(x=[0.0, 1e154], y=[0.0, 0.0]), State(x=[0.0, 1e-8], y=[0.0, 0.0]))
+        c = math.log(1e308) - math.log(1e-16)  # log z / s, s = -1 to rounding
+        v = c / 1e308 * (1e154 + 1e-8) / (4.0 * np.pi)
+        np.testing.assert_allclose(got, [[0.0, 0.0], [-v, v]], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_near_pair_collapsing_past_the_floats_is_finite(self, m):
+        # a near pair 5 apart whose cand r2 = 4.9e-323 makes z = xi_k1/xi_k round
+        # to 0: the closed form's log z once read log(0) with a warning.  log z and
+        # W(xi_k1), each about 747, cancel to 3.8, so c_tau is within 2e-14
+        mpmath = pytest.importorskip("mpmath")
+        system = BlobSystem(m=m, h=1.0, delta=1.0, kappa=[1.0, 1.0])
+        got = dmm_rhs(system, State(x=[0.0, 5.0], y=[0.0, 0.0]), State(x=[0.0, 7e-162], y=[0.0, 0.0]))
+        c = c_tau(m, 25.0, 7e-162**2)
+        assert c == pytest.approx(mpmath_c_tau(mpmath, m, [25.0], [7e-162**2])[0], rel=2e-14)
+        v = c / 25.0 * (5.0 + 7e-162) / (4.0 * np.pi)
+        np.testing.assert_allclose(got, [[0.0, 0.0], [-v, v]], rtol=1e-14, atol=0.0)
 
     def test_solver_failure_carries_diagnostics(self):
         rng = np.random.default_rng(17)

@@ -304,7 +304,7 @@ class TestAndersonMixing:
     def test_singular_gram_falls_back_to_picard(self, monkeypatch):
         # A linear field in dyadic numbers, exact in floating point: the first
         # mixed iterate stagnates at the one before, so the next dF column is
-        # zero, collinear with the first, and the Gram matrix is singular.
+        # zero, collinear with the first, and the Gram matrix, newest first, is singular.
         a = np.array([[0.5, -0.25], [-0.75, 0.5]])
         state = State(x=[0.5], y=[0.5])
         singular = []
@@ -324,7 +324,7 @@ class TestAndersonMixing:
             return np.array((a[0, 0] * x + a[0, 1] * y, a[1, 0] * x + a[1, 1] * y))
 
         out = vortexblob.integrators._fixed_point(state, 1.0, DEFAULT_SOLVER, field_at, state.xy)
-        assert [g.tolist() for g in singular] == [[[2.0**-9, 0.0], [0.0, 0.0]]]
+        assert [g.tolist() for g in singular] == [[[0.0, 0.0], [0.0, 2.0**-9]]]
         # the fixed point of x = x0 + a x is (2, -2); Picard alone takes 375 iterates
         assert (out.next.x.tolist(), out.next.y.tolist(), out.iterations) == ([2.0], [-2.0], 6)
 

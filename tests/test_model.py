@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import vortexblob.model
 from vortexblob.conservative import dmm_rhs
 from vortexblob.errors import ConfigurationError, DomainError, PairDegeneracyError, SolverFailureError
-from vortexblob.integrators import imm_step, integrate
+from vortexblob.expint import _horner
+from vortexblob.integrators import dmm_step, imm_step, integrate
 from vortexblob.model import (
     ORDER_POLYNOMIALS,
     SUPPORTED_ORDERS,
@@ -26,11 +27,9 @@ from vortexblob.model import (
     cutoff_over_r2,
     init_grid,
     initial_vorticity,
-    multiplier_matrix,
-    p_polynomial,
+    multiplier,
     pair_differences,
     pair_potential,
-    q_polynomial,
     rhs,
     triangle_blocks,
     velocity_field,
@@ -46,24 +45,25 @@ def random_system(rng, n, m=2, delta=1.0):
 
 class TestKernels:
     def test_q_polynomial_values(self):
-        # Q(0) = 1 for every order; spot values at r = 1 and r = 2
+        # Q(0) = 1 for every order; spot values at xi = 1 and xi = 2
+        q = {m: poly.q for m, poly in ORDER_POLYNOMIALS.items()}
         for m in (2, 4, 6):
-            assert q_polynomial(m, 0.0) == 1.0
-        assert q_polynomial(2, 1.0) == 1.0
-        assert q_polynomial(4, 1.0) == 0.0
-        assert q_polynomial(6, 1.0) == -0.5
-        assert q_polynomial(6, 2.0) == -1.0
+            assert _horner(0.0, q[m]) == 1.0
+        assert _horner(1.0, q[2]) == 1.0
+        assert _horner(1.0, q[4]) == 0.0
+        assert _horner(1.0, q[6]) == -0.5
+        assert _horner(2.0, q[6]) == -1.0
 
     def test_p_polynomial_values(self):
-        assert p_polynomial(2, 0.7) == pytest.approx(1.0 / np.pi)
-        assert p_polynomial(4, 1.0) == pytest.approx(1.0 / np.pi)
-        assert p_polynomial(6, 1.0) == pytest.approx(0.5 / np.pi)
+        assert _horner(0.7, ORDER_POLYNOMIALS[2].p) == pytest.approx(1.0 / np.pi)
+        assert _horner(1.0, ORDER_POLYNOMIALS[4].p) == pytest.approx(1.0 / np.pi)
+        assert _horner(1.0, ORDER_POLYNOMIALS[6].p) == pytest.approx(0.5 / np.pi)
 
     def test_vorticity_shape_normalized(self):
         # each blob carries unit circulation: 2 pi int_0^inf P(s) e^-s ds/2 = 1
         s = np.linspace(0.0, 60.0, 400001)
         for m in (2, 4, 6):
-            integrand = p_polynomial(m, s) * np.exp(-s)
+            integrand = _horner(s, ORDER_POLYNOMIALS[m].p) * np.exp(-s)
             total = np.pi * np.trapezoid(integrand, s)
             assert total == pytest.approx(1.0, abs=5e-8)
 
@@ -113,17 +113,15 @@ class TestKernels:
     @pytest.mark.parametrize("m", [2, 4, 6])
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (0,)])
     def test_array_input_gives_array_of_its_shape(self, m, shape):
-        # Q and P of m = 2 are constants, which the Horner evaluator returns bare
         r2 = np.linspace(0.5, 3.0, int(np.prod(shape))).reshape(shape)
-        for out in (q_polynomial(m, r2), p_polynomial(m, r2), cutoff(m, r2, 1.3),
-                    cutoff_over_r2(m, r2, 1.3), pair_potential(m, r2, 1.3)):
+        for out in (cutoff(m, r2, 1.3), cutoff_over_r2(m, r2, 1.3), pair_potential(m, r2, 1.3)):
             assert isinstance(out, np.ndarray) and out.shape == shape
 
     def test_unsupported_order_rejected(self):
         with pytest.raises(ConfigurationError):
             cutoff(3, 1.0, 1.0)
         with pytest.raises(ConfigurationError):
-            q_polynomial(8, 1.0)
+            cutoff(8, 1.0, 1.0)
 
 
 class TestDynamics:
@@ -181,7 +179,7 @@ class TestDynamics:
     def test_multiplier_annihilates_rhs(self, n, m, seed):
         rng = np.random.default_rng(seed)
         system, state = random_system(rng, n, m=m)
-        lam = multiplier_matrix(system, state)
+        lam = multiplier(system.kappa, state.xy, rhs(system, state))
         f = np.concatenate(rhs(system, state))
         scale = max(1.0, np.abs(f).max())
         assert np.abs(lam @ f).max() <= 1e-13 * scale
@@ -192,7 +190,7 @@ class TestDynamics:
         rng = np.random.default_rng(3)
         system, state = random_system(rng, 5, m=6)
         fx, fy = rhs(system, state)
-        h_row = multiplier_matrix(system, state)[3]
+        h_row = multiplier(system.kappa, state.xy, rhs(system, state))[3]
         eps = 1e-6
         for i in range(5):
             for axis in ("x", "y"):
@@ -493,6 +491,45 @@ class TestBand:
         ham = conserved(system, state).ham
         assert ham == pytest.approx(-math.log(1e308) / (4.0 * np.pi), rel=1e-15)
 
+    # xi = r2/delta^2 = 1e-120/7.29e228 rounds to 0 at a nonzero r2: the parent gave
+    # NaN with a RuntimeWarning (rhs, the fields, cutoff_over_r2, the steps' RM2
+    # start) or E1's DomainError, which names no pair (conserved, dmm_rhs)
+    UNDERFLOW = BlobSystem(m=4, h=1.0, delta=2.7e114, kappa=[1.0, 1.0])
+    TINY = State(x=[0.0, 1e-60], y=[0.0, 0.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("call, names", [
+        (lambda s, st: rhs(s, st), "vortices 0 and 1"),
+        (lambda s, st: velocity_field(s, st, [5e-61, 0.0]), "point 0 and vortex 0"),
+        (lambda s, st: blob_vorticity(s, st, [5e-61, 0.0]), "point 0 and vortex 0"),
+        (lambda s, st: cutoff_over_r2(4, 1e-120, s.delta), "r2 = 1e-120"),
+        (lambda s, st: cutoff(4, 1e-120, s.delta), "r2 = 1e-120"),
+        (lambda s, st: pair_potential(4, 1e-120, s.delta), "r2 = 1e-120"),
+        (lambda s, st: conserved(s, st), "vortices 0 and 1"),
+        (lambda s, st: dmm_rhs(s, st, st), "vortices 0 and 1"),
+        (lambda s, st: dmm_rhs(s, State(x=[0.0, 1.0], y=[0.0, 0.0]), st), "vortices 0 and 1"),  # the cand level's
+        (lambda s, st: imm_step(s, st, 0.1), "vortices 0 and 1"),
+        (lambda s, st: dmm_step(s, st, 0.1), "vortices 0 and 1"),
+    ], ids=["rhs", "velocity_field", "blob_vorticity", "cutoff_over_r2", "cutoff", "pair_potential", "conserved",
+            "dmm_rhs", "dmm_rhs_cand", "imm_step", "dmm_step"])
+    def test_underflowing_xi_raises_domain_error_naming_the_pair(self, call, names):
+        # a step fails iterate 1, its RM2 start outside the field's domain, from the DomainError
+        with pytest.raises((DomainError, SolverFailureError)) as exc:
+            call(self.UNDERFLOW, self.TINY)
+        error = exc.value.__cause__ if isinstance(exc.value, SolverFailureError) else exc.value
+        assert isinstance(error, DomainError)
+        assert str(error) == f"xi = r2/delta^2 of {names} underflows to 0"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_xi_is_inside_the_domain(self):
+        # xi = 1e-300/1e20 = 1e-320 is a subnormal, not 0: the fields compute
+        system = BlobSystem(m=4, h=1.0, delta=1e10, kappa=[1.0, 1.0])
+        state = State(x=[0.0, 1e-150], y=[0.0, 0.0])
+        far = 2.0 / (2.0 * np.pi * 1e20) * 1e-150  # kappa/(2 pi) (C/r2 -> 2/delta^2) |d|
+        np.testing.assert_allclose(rhs(system, state), [[0.0, 0.0], [-far, far]], rtol=1e-14, atol=0.0)
+        assert cutoff_over_r2(4, 1e-300, 1e10) == 2e-20
+        assert math.isfinite(conserved(system, state).ham)
+
     def test_overflowing_imm_iterate_stops_at_once(self):
         # the RM2 start's second stage is finite, and its r2 overflows in rhs;
         # given the finite Euler step as its guess, the first iterate's
@@ -623,6 +660,14 @@ class TestGrid:
                 State.from_xy(bad)
         with pytest.raises(ConfigurationError):
             State(x=[0.0, np.inf], y=[0.0, 1.0])
+
+    def test_state_and_system_compare_and_hash_by_identity(self):
+        # an ndarray field once made == raise "truth value ... is ambiguous" and hash() "unhashable"
+        for make in (lambda: State(x=[0.0, 1.0], y=[0.0, 0.0]),
+                     lambda: BlobSystem(m=4, h=1.0, delta=1.0, kappa=[1.0, 1.0])):
+            a, b = make(), make()
+            assert a == a and a != b and not a == b
+            assert hash(a) == hash(a) and len({a, b, a}) == 2
 
 
 class TestVorticityField:

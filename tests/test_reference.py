@@ -8,7 +8,7 @@ import pytest
 from vortexblob.errors import ConfigurationError
 from vortexblob.model import conserved, init_grid
 from vortexblob.reference import (
-    QuadratureRule,
+    _disk_rule,
     exact_conserved_integrals,
     exact_velocity,
     fit_order,
@@ -43,8 +43,10 @@ class TestExactVelocity:
         # speed at radius r equals (circulation inside r) / (2 pi r)
         p = 4
         r = 0.6
-        rule = QuadratureRule.polar(r_max=r)
-        circ = rule.integrate_radial(lambda s: 2 * np.pi * s * (1 - s**2) ** p)
+        # Gauss-Legendre on [0, r], exact for the degree-9 integrand
+        x, w = np.polynomial.legendre.leggauss(8)
+        s = 0.5 * r * (x + 1.0)
+        circ = 0.5 * r * (w * 2 * np.pi * s * (1 - s**2) ** p).sum()
         speed = exact_velocity(np.array([r, 0.0]), p)[1]
         assert speed == pytest.approx(circ / (2 * np.pi * r), rel=1e-12)
 
@@ -105,22 +107,21 @@ class TestRing:
 
 class TestQuadrature:
     def test_radial_monomials_exact(self):
-        rule = QuadratureRule.polar()
-        for k in range(16):
-            integral = rule.integrate_radial(lambda r, k=k: r**k)
-            assert integral == pytest.approx(1.0 / (k + 1), abs=1e-14)
+        # the integrand r^k times the Jacobian r reaches degree 15, the radial rule's limit
+        pts, w = _disk_rule()
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        for k in range(15):
+            assert (w * r**k).sum() == pytest.approx(2.0 * np.pi / (k + 2), abs=1e-14)
 
     def test_disk_area_and_moments(self):
-        rule = QuadratureRule.polar()
-        pts, w = rule.points_weights()
+        pts, w = _disk_rule()
         assert w.sum() == pytest.approx(np.pi, abs=1e-13)
         r2 = (pts**2).sum(axis=1)
         assert (w * r2).sum() == pytest.approx(np.pi / 2.0, abs=1e-13)
         assert (w * pts[:, 0]).sum() == pytest.approx(0.0, abs=1e-14)
 
     def test_angular_harmonics_integrate_to_zero(self):
-        rule = QuadratureRule.polar()
-        pts, w = rule.points_weights()
+        pts, w = _disk_rule()
         theta = np.arctan2(pts[:, 1], pts[:, 0])
         for k in (1, 2, 5, 12):
             assert (w * np.cos(k * theta)).sum() == pytest.approx(0.0, abs=1e-12)
